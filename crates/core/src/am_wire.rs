@@ -175,8 +175,13 @@ pub struct ReqHeader {
 }
 
 impl ReqHeader {
-    /// A header with the common fields zeroed.
+    /// A one-key header with the common fields zeroed.
     pub fn new(op: McOp, req_id: u64, ctr_id: u64, key: Vec<u8>) -> ReqHeader {
+        ReqHeader::with_keys(op, req_id, ctr_id, vec![key])
+    }
+
+    /// A header for `keys` with the common fields zeroed.
+    pub fn with_keys(op: McOp, req_id: u64, ctr_id: u64, keys: Vec<Vec<u8>>) -> ReqHeader {
         ReqHeader {
             op,
             req_id,
@@ -185,7 +190,7 @@ impl ReqHeader {
             exptime: 0,
             cas: 0,
             delta: 0,
-            keys: vec![key],
+            keys,
         }
     }
 
@@ -268,6 +273,18 @@ pub struct RespHeader {
 }
 
 impl RespHeader {
+    /// A header for `req_id` carrying `status`, every other field zeroed.
+    pub fn new(req_id: u64, status: RespStatus) -> RespHeader {
+        RespHeader {
+            req_id,
+            status,
+            flags: 0,
+            cas: 0,
+            number: 0,
+            nvalues: 0,
+        }
+    }
+
     /// Serializes to the AM header layout.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(32);
@@ -440,6 +457,11 @@ pub fn encode_mget_entry(out: &mut Vec<u8>, key: &[u8], flags: u32, cas: u64, va
     out.extend_from_slice(value);
 }
 
+/// Encoded size of one multi-get entry (see [`encode_mget_entry`]).
+pub(crate) fn mget_entry_len(key_len: usize, value_len: usize) -> usize {
+    18 + key_len + value_len
+}
+
 /// One decoded multi-get entry: `(key, flags, cas, value)`.
 pub type MgetEntry = (Vec<u8>, u32, u64, Vec<u8>);
 
@@ -468,6 +490,24 @@ pub fn decode_mget_entries(mut b: &[u8], n: usize) -> Option<Vec<MgetEntry>> {
         b = &b[vlen..];
     }
     Some(out)
+}
+
+/// Renders `stats` pairs as the `name value` line text a stats reply
+/// carries as its payload.
+pub(crate) fn stats_text(pairs: &[(String, String)]) -> String {
+    pairs.iter().map(|(k, v)| format!("{k} {v}\n")).collect()
+}
+
+/// Splits a stats payload back into `(name, value)` pairs at each line's
+/// first space.
+pub(crate) fn stats_pairs(text: &[u8]) -> Vec<(String, String)> {
+    String::from_utf8_lossy(text)
+        .lines()
+        .map(|l| {
+            let (k, v) = l.split_once(' ').unwrap_or((l, ""));
+            (k.to_string(), v.to_string())
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -551,6 +591,7 @@ mod tests {
         let mut buf = Vec::new();
         encode_mget_entry(&mut buf, b"k1", 1, 10, b"v1");
         encode_mget_entry(&mut buf, b"k2", 2, 20, &vec![9u8; 5000]);
+        assert_eq!(buf.len(), mget_entry_len(2, 2) + mget_entry_len(2, 5000));
         let got = decode_mget_entries(&buf, 2).unwrap();
         assert_eq!(got[0], (b"k1".to_vec(), 1, 10, b"v1".to_vec()));
         assert_eq!(got[1].3.len(), 5000);

@@ -10,6 +10,11 @@
 //! * **Sockets**: requests are ASCII protocol frames over any byte-stream
 //!   stack, exactly like the unmodified libmemcached baseline, with
 //!   `TCP_NODELAY` set as the paper's benchmarks do.
+//!
+//! Either way a verb builds one AM request header. `CliInner::call_on`
+//! carries it over whatever the connection speaks (the AM pair, an ASCII
+//! command, binary frames or a UDP datagram) and hands back the AM reply,
+//! which one table (`accept`) turns into the verb's result.
 
 use std::cell::{Cell, RefCell};
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -17,8 +22,8 @@ use std::pin::Pin;
 use std::rc::Rc;
 
 use mcproto::{
-    arith_extras, encode_command, parse_response, store_extras, udp_fragment, BinFrame, BinOpcode,
-    BinStatus, Command, GetValue, Response, StoreVerb, UdpFrame, UDP_CHUNK_BYTES,
+    encode_command, parse_response, udp_fragment, BinFrame, Command, Response, UdpFrame,
+    UDP_CHUNK_BYTES,
 };
 use mcstore::Value;
 use simnet::metrics::{LatencySpans, Stage};
@@ -31,9 +36,10 @@ use ucr::{
 };
 
 use crate::am_wire::{
-    decode_mget_entries, DirReq, DirResp, McOp, ReqHeader, RespHeader, RespStatus,
+    decode_mget_entries, stats_pairs, DirReq, DirResp, McOp, ReqHeader, RespHeader, RespStatus,
     BYPASS_VERSION_BYTES, MSG_MC_DIR_REQ, MSG_MC_DIR_RESP, MSG_MC_REQ, MSG_MC_RESP,
 };
+use crate::codec::{ascii_command, ascii_reply, frames_reply, request_frames};
 use crate::server::BASE_UNIX_TIME;
 use crate::world::World;
 
@@ -648,47 +654,18 @@ impl McClient {
         inner.ops.set(inner.ops.get() + 1);
         let sidx = inner.route(key);
         let conn = inner.conn(sidx).await?;
-        match &*conn {
-            Conn::Ucr(ep) => {
-                if inner.cfg.bypass_get {
-                    if let Some(done) = inner.bypass_get(sidx, ep, key).await {
-                        return done;
-                    }
-                    // Bypass gave up (descriptor trouble, retry budget):
-                    // fall through to the classic AM round trip.
-                }
-                let (resp, data) = inner
-                    .ucr_round_trip(
-                        ep,
-                        |req_id, ctr| ReqHeader::new(McOp::Get, req_id, ctr, key.to_vec()),
-                        Vec::new(),
-                    )
-                    .await?;
-                match resp.status {
-                    RespStatus::Hit => Ok(Some(Value {
-                        data,
-                        flags: resp.flags,
-                        cas: resp.cas,
-                    })),
-                    RespStatus::Miss => Ok(None),
-                    _ => Err(McError::Protocol),
-                }
+        if let (true, Conn::Ucr(ep)) = (inner.cfg.bypass_get, &*conn) {
+            if let Some(done) = inner.bypass_get(sidx, ep, key).await {
+                return done;
             }
-            c @ (Conn::Sock(_) | Conn::Udp { .. }) => {
-                let cmd = Command::Gets {
-                    keys: vec![key.to_vec()],
-                };
-                let resp = inner.sock_round_trip(c, &cmd).await?;
-                match resp {
-                    Response::Values(mut vs) => Ok(vs.pop().map(|v| Value {
-                        data: v.data,
-                        flags: v.flags,
-                        cas: v.cas.unwrap_or(0),
-                    })),
-                    _ => Err(McError::Protocol),
-                }
-            }
+            // Bypass gave up (descriptor trouble, retry budget): fall
+            // through to the classic AM round trip.
         }
+        get_value(
+            inner
+                .call_on(&conn, request(McOp::Get, key), Vec::new())
+                .await?,
+        )
     }
 
     /// Multi-key fetch. Keys may span servers; requests are grouped per
@@ -696,67 +673,16 @@ impl McClient {
     pub async fn mget(&self, keys: &[&[u8]]) -> Result<Vec<(Vec<u8>, Value)>, McError> {
         let inner = &self.inner;
         inner.ops.set(inner.ops.get() + 1);
-        let mut by_server: HashMap<usize, Vec<Vec<u8>>> = HashMap::new();
-        for k in keys {
-            by_server
-                .entry(inner.route(k))
-                .or_default()
-                .push(k.to_vec());
-        }
         let mut out = Vec::new();
-        let mut groups: Vec<_> = by_server.into_iter().collect();
-        groups.sort_by_key(|(s, _)| *s);
-        for (sidx, group) in groups {
-            let conn = inner.conn(sidx).await?;
-            match &*conn {
-                Conn::Ucr(ep) => {
-                    let (resp, data) = inner
-                        .ucr_round_trip(
-                            ep,
-                            |req_id, ctr| ReqHeader {
-                                op: McOp::Mget,
-                                req_id,
-                                ctr_id: ctr,
-                                flags: 0,
-                                exptime: 0,
-                                cas: 0,
-                                delta: 0,
-                                keys: group.clone(),
-                            },
-                            Vec::new(),
-                        )
-                        .await?;
-                    let entries = decode_mget_entries(&data, resp.nvalues as usize)
-                        .ok_or(McError::Protocol)?;
-                    for (key, flags, cas, value) in entries {
-                        out.push((
-                            key,
-                            Value {
-                                data: value,
-                                flags,
-                                cas,
-                            },
-                        ));
-                    }
-                }
-                c @ (Conn::Sock(_) | Conn::Udp { .. }) => {
-                    let cmd = Command::Gets { keys: group };
-                    match inner.sock_round_trip(c, &cmd).await? {
-                        Response::Values(vs) => {
-                            for v in vs {
-                                out.push((
-                                    v.key,
-                                    Value {
-                                        data: v.data,
-                                        flags: v.flags,
-                                        cas: v.cas.unwrap_or(0),
-                                    },
-                                ));
-                            }
-                        }
-                        _ => return Err(McError::Protocol),
-                    }
-                }
+        for (sidx, idxs) in group_by_server(inner, keys.iter().copied()) {
+            let group = idxs.iter().map(|&i| keys[i].to_vec()).collect();
+            let req = ReqHeader::with_keys(McOp::Mget, 0, 0, group);
+            let (hdr, data) = inner.call(sidx, req, Vec::new()).await?;
+            accept(hdr.status, &[RespStatus::Hit])?;
+            let entries =
+                decode_mget_entries(&data, hdr.nvalues as usize).ok_or(McError::Protocol)?;
+            for (key, flags, cas, data) in entries {
+                out.push((key, Value { data, flags, cas }));
             }
         }
         Ok(out)
@@ -769,19 +695,7 @@ impl McClient {
     /// order. Returns [`McError::Protocol`] on socket transports, which
     /// have no out-of-order wire correlation.
     pub async fn issue_get(&self, key: &[u8]) -> Result<InFlightGet, McError> {
-        let inner = &self.inner;
-        inner.ops.set(inner.ops.get() + 1);
-        let conn = inner.conn(inner.route(key)).await?;
-        let Conn::Ucr(ep) = &*conn else {
-            return Err(McError::Protocol);
-        };
-        let op = inner
-            .ucr_issue(
-                ep,
-                |req_id, ctr| ReqHeader::new(McOp::Get, req_id, ctr, key.to_vec()),
-                Vec::new(),
-            )
-            .await?;
+        let op = self.issue(request(McOp::Get, key), Vec::new()).await?;
         Ok(InFlightGet { op })
     }
 
@@ -794,25 +708,20 @@ impl McClient {
         flags: u32,
         exptime: u32,
     ) -> Result<InFlightSet, McError> {
+        let op = self
+            .issue(set_request(key, flags, exptime), value.to_vec())
+            .await?;
+        Ok(InFlightSet { op })
+    }
+
+    async fn issue(&self, req: ReqHeader, data: Vec<u8>) -> Result<UcrInFlight, McError> {
         let inner = &self.inner;
         inner.ops.set(inner.ops.get() + 1);
-        let conn = inner.conn(inner.route(key)).await?;
+        let conn = inner.conn(inner.route(&req.keys[0])).await?;
         let Conn::Ucr(ep) = &*conn else {
             return Err(McError::Protocol);
         };
-        let op = inner
-            .ucr_issue(
-                ep,
-                |req_id, ctr| {
-                    let mut h = ReqHeader::new(McOp::Set, req_id, ctr, key.to_vec());
-                    h.flags = flags;
-                    h.exptime = exptime;
-                    h
-                },
-                value.to_vec(),
-            )
-            .await?;
-        Ok(InFlightSet { op })
+        inner.ucr_issue(ep, req, data).await
     }
 
     /// Pipelined multi-get: fetches every key while keeping up to
@@ -827,83 +736,15 @@ impl McClient {
     pub async fn get_many(&self, keys: &[&[u8]]) -> Result<Vec<Option<Value>>, McError> {
         let inner = &self.inner;
         inner.ops.set(inner.ops.get() + keys.len() as u64);
-        let depth = inner.cfg.pipeline_depth.max(1);
         let mut out: Vec<Option<Value>> = Vec::new();
         out.resize_with(keys.len(), || None);
         for (sidx, idxs) in group_by_server(inner, keys.iter().copied()) {
-            let conn = inner.conn(sidx).await?;
-            match &*conn {
-                Conn::Ucr(ep) => {
-                    let mut window: VecDeque<(usize, UcrInFlight)> = VecDeque::new();
-                    for i in idxs {
-                        if window.len() == depth {
-                            if let Some((j, op)) = window.pop_front() {
-                                inner.inflight_gauge.set(window.len() as f64);
-                                out[j] = decode_get_resp(inner.ucr_complete(op).await?)?;
-                                inner.op_done();
-                            }
-                        }
-                        let key = keys[i];
-                        let op = inner
-                            .ucr_issue(
-                                ep,
-                                |req_id, ctr| ReqHeader::new(McOp::Get, req_id, ctr, key.to_vec()),
-                                Vec::new(),
-                            )
-                            .await?;
-                        window.push_back((i, op));
-                        inner.inflight_gauge.set(window.len() as f64);
-                    }
-                    while let Some((j, op)) = window.pop_front() {
-                        inner.inflight_gauge.set(window.len() as f64);
-                        out[j] = decode_get_resp(inner.ucr_complete(op).await?)?;
-                        inner.op_done();
-                    }
-                }
-                Conn::Sock(sock) if !inner.cfg.binary_protocol => {
-                    let cmds: Vec<Command> = idxs
-                        .iter()
-                        .map(|&i| Command::Gets {
-                            keys: vec![keys[i].to_vec()],
-                        })
-                        .collect();
-                    let resps = inner.sock_pipeline(sock, &cmds, depth).await?;
-                    for (&j, resp) in idxs.iter().zip(resps) {
-                        match resp {
-                            Response::Values(mut vs) => {
-                                out[j] = vs.pop().map(|v| Value {
-                                    data: v.data,
-                                    flags: v.flags,
-                                    cas: v.cas.unwrap_or(0),
-                                });
-                                inner.op_done();
-                            }
-                            _ => return Err(McError::Protocol),
-                        }
-                    }
-                }
-                c @ (Conn::Sock(_) | Conn::Udp { .. }) => {
-                    // Binary-protocol and UDP connections have no
-                    // pipelined batch path: each op is a full sequential
-                    // round trip, accounted in `batch_fallback_ops`.
-                    inner.count_batch_fallback(idxs.len() as u64);
-                    for i in idxs {
-                        let cmd = Command::Gets {
-                            keys: vec![keys[i].to_vec()],
-                        };
-                        match inner.sock_round_trip(c, &cmd).await? {
-                            Response::Values(mut vs) => {
-                                out[i] = vs.pop().map(|v| Value {
-                                    data: v.data,
-                                    flags: v.flags,
-                                    cas: v.cas.unwrap_or(0),
-                                });
-                                inner.op_done();
-                            }
-                            _ => return Err(McError::Protocol),
-                        }
-                    }
-                }
+            let reqs = idxs
+                .iter()
+                .map(|&i| (request(McOp::Get, keys[i]), Vec::new()));
+            let replies = inner.batch(sidx, reqs).await?;
+            for (i, reply) in idxs.into_iter().zip(replies) {
+                out[i] = get_value(reply)?;
             }
         }
         Ok(out)
@@ -924,99 +765,16 @@ impl McClient {
     ) -> Result<Vec<Result<(), McError>>, McError> {
         let inner = &self.inner;
         inner.ops.set(inner.ops.get() + items.len() as u64);
-        let depth = inner.cfg.pipeline_depth.max(1);
         let mut out: Vec<Result<(), McError>> = Vec::new();
         out.resize_with(items.len(), || Ok(()));
         for (sidx, idxs) in group_by_server(inner, items.iter().map(|(k, _)| *k)) {
-            let conn = inner.conn(sidx).await?;
-            match &*conn {
-                Conn::Ucr(ep) => {
-                    let mut window: VecDeque<(usize, UcrInFlight)> = VecDeque::new();
-                    for i in idxs {
-                        if window.len() == depth {
-                            if let Some((j, op)) = window.pop_front() {
-                                inner.inflight_gauge.set(window.len() as f64);
-                                let (resp, _) = inner.ucr_complete(op).await?;
-                                out[j] = status_to_result(resp.status);
-                                inner.op_done();
-                            }
-                        }
-                        let (key, value) = items[i];
-                        let op = inner
-                            .ucr_issue(
-                                ep,
-                                |req_id, ctr| {
-                                    let mut h =
-                                        ReqHeader::new(McOp::Set, req_id, ctr, key.to_vec());
-                                    h.flags = flags;
-                                    h.exptime = exptime;
-                                    h
-                                },
-                                value.to_vec(),
-                            )
-                            .await?;
-                        window.push_back((i, op));
-                        inner.inflight_gauge.set(window.len() as f64);
-                    }
-                    while let Some((j, op)) = window.pop_front() {
-                        inner.inflight_gauge.set(window.len() as f64);
-                        let (resp, _) = inner.ucr_complete(op).await?;
-                        out[j] = status_to_result(resp.status);
-                        inner.op_done();
-                    }
-                }
-                Conn::Sock(sock) if !inner.cfg.binary_protocol => {
-                    let cmds: Vec<Command> = idxs
-                        .iter()
-                        .map(|&i| Command::Store {
-                            verb: StoreVerb::Set,
-                            key: items[i].0.to_vec(),
-                            flags,
-                            exptime,
-                            data: items[i].1.to_vec(),
-                            noreply: false,
-                        })
-                        .collect();
-                    let resps = inner.sock_pipeline(sock, &cmds, depth).await?;
-                    for (&j, resp) in idxs.iter().zip(resps) {
-                        out[j] = match resp {
-                            Response::Stored => Ok(()),
-                            Response::NotStored => Err(McError::NotStored),
-                            Response::ServerError(m) if m.contains("too large") => {
-                                Err(McError::TooLarge)
-                            }
-                            Response::ServerError(_) => Err(McError::OutOfMemory),
-                            _ => Err(McError::Protocol),
-                        };
-                        inner.op_done();
-                    }
-                }
-                c @ (Conn::Sock(_) | Conn::Udp { .. }) => {
-                    // Sequential degrade (no pipelined batch path here);
-                    // see `batch_fallback_ops`.
-                    inner.count_batch_fallback(idxs.len() as u64);
-                    for i in idxs {
-                        let (key, value) = items[i];
-                        let cmd = Command::Store {
-                            verb: StoreVerb::Set,
-                            key: key.to_vec(),
-                            flags,
-                            exptime,
-                            data: value.to_vec(),
-                            noreply: false,
-                        };
-                        out[i] = match inner.sock_round_trip(c, &cmd).await? {
-                            Response::Stored => Ok(()),
-                            Response::NotStored => Err(McError::NotStored),
-                            Response::ServerError(m) if m.contains("too large") => {
-                                Err(McError::TooLarge)
-                            }
-                            Response::ServerError(_) => Err(McError::OutOfMemory),
-                            _ => Err(McError::Protocol),
-                        };
-                        inner.op_done();
-                    }
-                }
+            let reqs = idxs.iter().map(|&i| {
+                let (key, value) = items[i];
+                (set_request(key, flags, exptime), value.to_vec())
+            });
+            let replies = inner.batch(sidx, reqs).await?;
+            for (i, (hdr, _)) in idxs.into_iter().zip(replies) {
+                out[i] = stored(hdr);
             }
         }
         Ok(out)
@@ -1024,36 +782,8 @@ impl McClient {
 
     /// Removes a key; `Ok(true)` if it existed.
     pub async fn delete(&self, key: &[u8]) -> Result<bool, McError> {
-        let inner = &self.inner;
-        inner.ops.set(inner.ops.get() + 1);
-        let conn = inner.conn(inner.route(key)).await?;
-        match &*conn {
-            Conn::Ucr(ep) => {
-                let (resp, _) = inner
-                    .ucr_round_trip(
-                        ep,
-                        |req_id, ctr| ReqHeader::new(McOp::Delete, req_id, ctr, key.to_vec()),
-                        Vec::new(),
-                    )
-                    .await?;
-                match resp.status {
-                    RespStatus::Ok => Ok(true),
-                    RespStatus::NotFound => Ok(false),
-                    _ => Err(McError::Protocol),
-                }
-            }
-            c @ (Conn::Sock(_) | Conn::Udp { .. }) => {
-                let cmd = Command::Delete {
-                    key: key.to_vec(),
-                    noreply: false,
-                };
-                match inner.sock_round_trip(c, &cmd).await? {
-                    Response::Deleted => Ok(true),
-                    Response::NotFound => Ok(false),
-                    _ => Err(McError::Protocol),
-                }
-            }
-        }
+        let (hdr, _) = self.keyed(request(McOp::Delete, key), Vec::new()).await?;
+        Ok(accept(hdr.status, &[RespStatus::Ok, RespStatus::NotFound])? == RespStatus::Ok)
     }
 
     /// Increments a decimal value; returns the new value.
@@ -1068,98 +798,28 @@ impl McClient {
 
     /// Refreshes a key's expiration.
     pub async fn touch(&self, key: &[u8], exptime: u32) -> Result<bool, McError> {
-        let inner = &self.inner;
-        inner.ops.set(inner.ops.get() + 1);
-        let conn = inner.conn(inner.route(key)).await?;
-        match &*conn {
-            Conn::Ucr(ep) => {
-                let (resp, _) = inner
-                    .ucr_round_trip(
-                        ep,
-                        |req_id, ctr| {
-                            let mut h = ReqHeader::new(McOp::Touch, req_id, ctr, key.to_vec());
-                            h.exptime = exptime;
-                            h
-                        },
-                        Vec::new(),
-                    )
-                    .await?;
-                match resp.status {
-                    RespStatus::Ok => Ok(true),
-                    RespStatus::NotFound => Ok(false),
-                    _ => Err(McError::Protocol),
-                }
-            }
-            c @ (Conn::Sock(_) | Conn::Udp { .. }) => {
-                let cmd = Command::Touch {
-                    key: key.to_vec(),
-                    exptime,
-                    noreply: false,
-                };
-                match inner.sock_round_trip(c, &cmd).await? {
-                    Response::Touched => Ok(true),
-                    Response::NotFound => Ok(false),
-                    _ => Err(McError::Protocol),
-                }
-            }
-        }
+        let mut req = request(McOp::Touch, key);
+        req.exptime = exptime;
+        let (hdr, _) = self.keyed(req, Vec::new()).await?;
+        Ok(accept(hdr.status, &[RespStatus::Ok, RespStatus::NotFound])? == RespStatus::Ok)
     }
 
     /// Flushes every server in the pool.
     pub async fn flush_all(&self) -> Result<(), McError> {
-        let inner = &self.inner;
-        for sidx in 0..inner.cfg.servers.len() {
-            let conn = inner.conn(sidx).await?;
-            match &*conn {
-                Conn::Ucr(ep) => {
-                    let (resp, _) = inner
-                        .ucr_round_trip(
-                            ep,
-                            |req_id, ctr| ReqHeader::new(McOp::FlushAll, req_id, ctr, Vec::new()),
-                            Vec::new(),
-                        )
-                        .await?;
-                    if resp.status != RespStatus::Ok {
-                        return Err(McError::Protocol);
-                    }
-                }
-                c @ (Conn::Sock(_) | Conn::Udp { .. }) => {
-                    let cmd = Command::FlushAll {
-                        delay: 0,
-                        noreply: false,
-                    };
-                    match inner.sock_round_trip(c, &cmd).await? {
-                        Response::Ok => {}
-                        _ => return Err(McError::Protocol),
-                    }
-                }
-            }
+        for sidx in 0..self.inner.cfg.servers.len() {
+            let req = request(McOp::FlushAll, b"");
+            let (hdr, _) = self.inner.call(sidx, req, Vec::new()).await?;
+            accept(hdr.status, &[RespStatus::Ok])?;
         }
         Ok(())
     }
 
     /// Server version string (first server).
     pub async fn version(&self) -> Result<String, McError> {
-        let inner = &self.inner;
-        let conn = inner.conn(0).await?;
-        match &*conn {
-            Conn::Ucr(ep) => {
-                let (_, data) = inner
-                    .ucr_round_trip(
-                        ep,
-                        |req_id, ctr| ReqHeader::new(McOp::Version, req_id, ctr, Vec::new()),
-                        Vec::new(),
-                    )
-                    .await?;
-                Ok(String::from_utf8_lossy(&data).into_owned())
-            }
-            c @ (Conn::Sock(_) | Conn::Udp { .. }) => {
-                match inner.sock_round_trip(c, &Command::Version).await? {
-                    Response::Version(v) => Ok(v),
-                    _ => Err(McError::Protocol),
-                }
-            }
-        }
+        let req = request(McOp::Version, b"");
+        let (hdr, data) = self.inner.call(0, req, Vec::new()).await?;
+        accept(hdr.status, &[RespStatus::Ok])?;
+        Ok(String::from_utf8_lossy(&data).into_owned())
     }
 
     /// Statistics from the first server, as `(name, value)` pairs.
@@ -1170,40 +830,10 @@ impl McClient {
     /// A statistics sub-report from the first server (`"slabs"`,
     /// `"items"`; empty = general stats).
     pub async fn stats_report(&self, which: &str) -> Result<Vec<(String, String)>, McError> {
-        let inner = &self.inner;
-        let arg: Vec<u8> = which.as_bytes().to_vec();
-        let conn = inner.conn(0).await?;
-        match &*conn {
-            Conn::Ucr(ep) => {
-                let (_, data) = inner
-                    .ucr_round_trip(
-                        ep,
-                        |req_id, ctr| ReqHeader::new(McOp::Stats, req_id, ctr, arg.clone()),
-                        Vec::new(),
-                    )
-                    .await?;
-                let text = String::from_utf8_lossy(&data);
-                Ok(text
-                    .lines()
-                    .filter_map(|l| {
-                        let mut it = l.splitn(2, ' ');
-                        Some((it.next()?.to_string(), it.next().unwrap_or("").to_string()))
-                    })
-                    .collect())
-            }
-            c @ (Conn::Sock(_) | Conn::Udp { .. }) => {
-                let cmd = Command::Stats {
-                    arg: (!arg.is_empty()).then_some(arg),
-                };
-                match inner.sock_round_trip(c, &cmd).await? {
-                    Response::Stats(st) => Ok(st),
-                    // A bare END (empty report) parses as an empty value
-                    // list; the two are indistinguishable on the wire.
-                    Response::Values(v) if v.is_empty() => Ok(Vec::new()),
-                    _ => Err(McError::Protocol),
-                }
-            }
-        }
+        let req = request(McOp::Stats, which.as_bytes());
+        let (hdr, data) = self.inner.call(0, req, Vec::new()).await?;
+        accept(hdr.status, &[RespStatus::Ok])?;
+        Ok(stats_pairs(&data))
     }
 
     async fn store_op(
@@ -1215,137 +845,74 @@ impl McClient {
         exptime: u32,
         cas: u64,
     ) -> Result<(), McError> {
-        let inner = &self.inner;
-        inner.ops.set(inner.ops.get() + 1);
-        let conn = inner.conn(inner.route(key)).await?;
-        match &*conn {
-            Conn::Ucr(ep) => {
-                let (resp, _) = inner
-                    .ucr_round_trip(
-                        ep,
-                        |req_id, ctr| {
-                            let mut h = ReqHeader::new(op, req_id, ctr, key.to_vec());
-                            h.flags = flags;
-                            h.exptime = exptime;
-                            h.cas = cas;
-                            h
-                        },
-                        value.to_vec(),
-                    )
-                    .await?;
-                status_to_result(resp.status)
-            }
-            c @ (Conn::Sock(_) | Conn::Udp { .. }) => {
-                let cmd = match op {
-                    McOp::Cas => Command::Cas {
-                        key: key.to_vec(),
-                        flags,
-                        exptime,
-                        cas,
-                        data: value.to_vec(),
-                        noreply: false,
-                    },
-                    _ => Command::Store {
-                        verb: match op {
-                            McOp::Set => StoreVerb::Set,
-                            McOp::Add => StoreVerb::Add,
-                            McOp::Replace => StoreVerb::Replace,
-                            McOp::Append => StoreVerb::Append,
-                            McOp::Prepend => StoreVerb::Prepend,
-                            _ => unreachable!("not a storage verb"),
-                        },
-                        key: key.to_vec(),
-                        flags,
-                        exptime,
-                        data: value.to_vec(),
-                        noreply: false,
-                    },
-                };
-                match inner.sock_round_trip(c, &cmd).await? {
-                    Response::Stored => Ok(()),
-                    Response::NotStored => Err(McError::NotStored),
-                    Response::Exists => Err(McError::Exists),
-                    Response::NotFound => Err(McError::NotFound),
-                    Response::ServerError(m) if m.contains("too large") => Err(McError::TooLarge),
-                    Response::ServerError(_) => Err(McError::OutOfMemory),
-                    _ => Err(McError::Protocol),
-                }
-            }
-        }
+        let mut req = set_request(key, flags, exptime);
+        (req.op, req.cas) = (op, cas);
+        let (hdr, _) = self.keyed(req, value.to_vec()).await?;
+        stored(hdr)
     }
 
     async fn arith(&self, op: McOp, key: &[u8], delta: u64) -> Result<u64, McError> {
+        let mut req = request(op, key);
+        req.delta = delta;
+        let (hdr, _) = self.keyed(req, Vec::new()).await?;
+        accept(hdr.status, &[RespStatus::Number])?;
+        Ok(hdr.number)
+    }
+
+    /// One request on the server its key routes to (counted as an op).
+    async fn keyed(&self, req: ReqHeader, data: Vec<u8>) -> Result<(RespHeader, Vec<u8>), McError> {
         let inner = &self.inner;
         inner.ops.set(inner.ops.get() + 1);
-        let conn = inner.conn(inner.route(key)).await?;
-        match &*conn {
-            Conn::Ucr(ep) => {
-                let (resp, _) = inner
-                    .ucr_round_trip(
-                        ep,
-                        |req_id, ctr| {
-                            let mut h = ReqHeader::new(op, req_id, ctr, key.to_vec());
-                            h.delta = delta;
-                            h
-                        },
-                        Vec::new(),
-                    )
-                    .await?;
-                match resp.status {
-                    RespStatus::Number => Ok(resp.number),
-                    RespStatus::NotFound => Err(McError::NotFound),
-                    RespStatus::NotNumeric => Err(McError::NotNumeric),
-                    _ => Err(McError::Protocol),
-                }
-            }
-            c @ (Conn::Sock(_) | Conn::Udp { .. }) => {
-                let cmd = if op == McOp::Incr {
-                    Command::Incr {
-                        key: key.to_vec(),
-                        delta,
-                        noreply: false,
-                    }
-                } else {
-                    Command::Decr {
-                        key: key.to_vec(),
-                        delta,
-                        noreply: false,
-                    }
-                };
-                match inner.sock_round_trip(c, &cmd).await? {
-                    Response::Number(n) => Ok(n),
-                    Response::NotFound => Err(McError::NotFound),
-                    Response::ClientError(_) => Err(McError::NotNumeric),
-                    _ => Err(McError::Protocol),
-                }
-            }
-        }
+        inner.call(inner.route(&req.keys[0]), req, data).await
     }
 }
 
-fn status_to_result(s: RespStatus) -> Result<(), McError> {
-    match s {
-        RespStatus::Stored | RespStatus::Ok => Ok(()),
-        RespStatus::NotStored => Err(McError::NotStored),
-        RespStatus::Exists => Err(McError::Exists),
-        RespStatus::NotFound => Err(McError::NotFound),
-        RespStatus::TooLarge => Err(McError::TooLarge),
-        RespStatus::OutOfMemory => Err(McError::OutOfMemory),
-        _ => Err(McError::Protocol),
-    }
+/// A one-key request header; request id and counter are filled at issue.
+fn request(op: McOp, key: &[u8]) -> ReqHeader {
+    ReqHeader::new(op, 0, 0, key.to_vec())
 }
 
-/// Decodes a get response into the `Option<Value>` shape.
-fn decode_get_resp((resp, data): (RespHeader, Vec<u8>)) -> Result<Option<Value>, McError> {
-    match resp.status {
-        RespStatus::Hit => Ok(Some(Value {
-            data,
-            flags: resp.flags,
-            cas: resp.cas,
-        })),
-        RespStatus::Miss => Ok(None),
-        _ => Err(McError::Protocol),
+/// An unconditional store's request header.
+fn set_request(key: &[u8], flags: u32, exptime: u32) -> ReqHeader {
+    let mut req = request(McOp::Set, key);
+    (req.flags, req.exptime) = (flags, exptime);
+    req
+}
+
+/// The one reply→`Result` table: `status` passes when the verb accepts
+/// it, and maps to its [`McError`] otherwise.
+fn accept(status: RespStatus, ok: &[RespStatus]) -> Result<RespStatus, McError> {
+    if ok.contains(&status) {
+        return Ok(status);
     }
+    Err(match status {
+        RespStatus::NotStored => McError::NotStored,
+        RespStatus::Exists => McError::Exists,
+        RespStatus::NotFound => McError::NotFound,
+        RespStatus::TooLarge => McError::TooLarge,
+        RespStatus::OutOfMemory => McError::OutOfMemory,
+        RespStatus::NotNumeric => McError::NotNumeric,
+        RespStatus::Hit
+        | RespStatus::Miss
+        | RespStatus::Stored
+        | RespStatus::Number
+        | RespStatus::Ok => McError::Protocol,
+    })
+}
+
+/// A store's reply.
+fn stored(hdr: RespHeader) -> Result<(), McError> {
+    accept(hdr.status, &[RespStatus::Stored, RespStatus::Ok]).map(drop)
+}
+
+/// A get's reply, in the `Option<Value>` shape.
+fn get_value((hdr, data): (RespHeader, Vec<u8>)) -> Result<Option<Value>, McError> {
+    let hit = accept(hdr.status, &[RespStatus::Hit, RespStatus::Miss])? == RespStatus::Hit;
+    Ok(hit.then_some(Value {
+        data,
+        flags: hdr.flags,
+        cas: hdr.cas,
+    }))
 }
 
 /// Groups item indices by target server, preserving input order within
@@ -1386,7 +953,7 @@ impl InFlightGet {
     /// Waits for the response and decodes it.
     pub async fn complete(self) -> Result<Option<Value>, McError> {
         let cli = self.op.cli.clone();
-        decode_get_resp(cli.ucr_complete(self.op).await?)
+        get_value(cli.ucr_complete(self.op).await?)
     }
 }
 
@@ -1413,8 +980,7 @@ impl InFlightSet {
     /// Waits for the response and decodes it.
     pub async fn complete(self) -> Result<(), McError> {
         let cli = self.op.cli.clone();
-        let (resp, _) = cli.ucr_complete(self.op).await?;
-        status_to_result(resp.status)
+        stored(cli.ucr_complete(self.op).await?.0)
     }
 }
 
@@ -1497,18 +1063,104 @@ impl CliInner {
         Ok(conn)
     }
 
-    /// Sends AM 1 and blocks on the counter until AM 2 lands (§V-B).
-    /// Issue and completion are split so the batch APIs can keep several
-    /// requests in flight; depth-1 callers go through both halves
-    /// back-to-back, which is the exact classic sequence.
-    async fn ucr_round_trip(
+    /// One round trip with server `sidx` (see [`Self::call_on`]).
+    async fn call(
         self: &Rc<Self>,
-        ep: &Endpoint,
-        build: impl FnOnce(u64, u64) -> ReqHeader,
+        sidx: usize,
+        req: ReqHeader,
         data: Vec<u8>,
     ) -> Result<(RespHeader, Vec<u8>), McError> {
-        let op = self.ucr_issue(ep, build, data).await?;
-        self.ucr_complete(op).await
+        let conn = self.conn(sidx).await?;
+        self.call_on(&conn, req, data).await
+    }
+
+    /// One request/response over `conn`: the AM pair on UCR, the request's
+    /// ASCII command or binary frames on a stream socket, one framed ASCII
+    /// datagram on UDP. Every wire answers in the AM reply shape.
+    async fn call_on(
+        self: &Rc<Self>,
+        conn: &Conn,
+        req: ReqHeader,
+        data: Vec<u8>,
+    ) -> Result<(RespHeader, Vec<u8>), McError> {
+        let op = req.op;
+        match conn {
+            Conn::Ucr(ep) => {
+                // Sends AM 1 and blocks on the counter until AM 2 lands
+                // (§V-B): the issue and completion halves back-to-back.
+                let issued = self.ucr_issue(ep, req, data).await?;
+                self.ucr_complete(issued).await
+            }
+            Conn::Sock(sock) if self.cfg.binary_protocol => {
+                let frames = request_frames(req, data);
+                frames_reply(op, self.bin_round_trip(sock, frames, op).await?)
+            }
+            Conn::Sock(sock) => {
+                let cmd = ascii_command(req, data);
+                ascii_reply(op, self.ascii_round_trip(sock, &cmd).await?)
+            }
+            Conn::Udp { sock, server } => {
+                let cmd = ascii_command(req, data);
+                ascii_reply(op, self.udp_round_trip(sock, *server, &cmd).await?)
+            }
+        }
+    }
+
+    /// Runs a batch of requests against server `sidx`, keeping up to
+    /// `pipeline_depth` in flight where the wire allows: UCR correlates
+    /// responses by request id, ASCII writes ahead of its FIFO reads.
+    /// Binary-protocol and UDP connections have no pipelined batch path:
+    /// each op is a full sequential round trip, accounted in
+    /// `batch_fallback_ops`. Replies come back in request order.
+    /// Requests are built lazily, so a UCR window holds only `depth`
+    /// values at a time.
+    async fn batch(
+        self: &Rc<Self>,
+        sidx: usize,
+        reqs: impl ExactSizeIterator<Item = (ReqHeader, Vec<u8>)>,
+    ) -> Result<Vec<(RespHeader, Vec<u8>)>, McError> {
+        let depth = self.cfg.pipeline_depth.max(1);
+        let conn = self.conn(sidx).await?;
+        let mut out = Vec::with_capacity(reqs.len());
+        match &*conn {
+            Conn::Ucr(ep) => {
+                let mut window: VecDeque<UcrInFlight> = VecDeque::new();
+                for (req, data) in reqs {
+                    if window.len() == depth {
+                        if let Some(op) = window.pop_front() {
+                            self.inflight_gauge.set(window.len() as f64);
+                            out.push(self.ucr_complete(op).await?);
+                            self.op_done();
+                        }
+                    }
+                    window.push_back(self.ucr_issue(ep, req, data).await?);
+                    self.inflight_gauge.set(window.len() as f64);
+                }
+                while let Some(op) = window.pop_front() {
+                    self.inflight_gauge.set(window.len() as f64);
+                    out.push(self.ucr_complete(op).await?);
+                    self.op_done();
+                }
+            }
+            Conn::Sock(sock) if !self.cfg.binary_protocol => {
+                let (ops, cmds): (Vec<McOp>, Vec<Command>) = reqs
+                    .map(|(req, data)| (req.op, ascii_command(req, data)))
+                    .unzip();
+                let resps = self.sock_pipeline(sock, &cmds, depth).await?;
+                for (op, resp) in ops.into_iter().zip(resps) {
+                    out.push(ascii_reply(op, resp)?);
+                    self.op_done();
+                }
+            }
+            other => {
+                self.count_batch_fallback(reqs.len() as u64);
+                for (req, data) in reqs {
+                    out.push(self.call_on(other, req, data).await?);
+                    self.op_done();
+                }
+            }
+        }
+        Ok(out)
     }
 
     /// Issue half: allocates a request id + completion counter, sends
@@ -1518,14 +1170,14 @@ impl CliInner {
     async fn ucr_issue(
         self: &Rc<Self>,
         ep: &Endpoint,
-        build: impl FnOnce(u64, u64) -> ReqHeader,
+        mut req: ReqHeader,
         data: Vec<u8>,
     ) -> Result<UcrInFlight, McError> {
         let rt = self.ucr.as_ref().ok_or(McError::Disconnected)?;
         let req_id = self.next_req.get();
         self.next_req.set(req_id + 1);
         let ctr = rt.counter();
-        let req = build(req_id, ctr.id());
+        (req.req_id, req.ctr_id) = (req_id, ctr.id());
         self.span(|sp| sp.begin(req_id, self.sim.now()));
         self.tracer.begin(
             Layer::Core,
@@ -1894,19 +1546,12 @@ impl CliInner {
         }
     }
 
-    /// One request/response over a non-UCR connection: ASCII or binary
-    /// over a stream socket, or the framed UDP protocol.
-    async fn sock_round_trip(&self, conn: &Conn, cmd: &Command) -> Result<Response, McError> {
-        let sock = match conn {
-            Conn::Sock(sock) => sock,
-            Conn::Udp { sock, server } => {
-                return self.udp_round_trip(sock, *server, cmd).await;
-            }
-            Conn::Ucr(_) => unreachable!("UCR ops use ucr_round_trip"),
-        };
-        if self.cfg.binary_protocol {
-            return self.sock_round_trip_bin(sock, cmd).await;
-        }
+    /// One ASCII request/response over a stream socket.
+    async fn ascii_round_trip(
+        &self,
+        sock: &Rc<Socket>,
+        cmd: &Command,
+    ) -> Result<Response, McError> {
         let span_id = self.begin_sock_span();
         let wire = encode_command(cmd);
         if sock.write_all(&wire).await.is_err() {
@@ -2085,16 +1730,15 @@ impl CliInner {
 }
 
 impl CliInner {
-    /// Binary-protocol round trip: translates the command to frames
-    /// (multiget becomes a GetKQ pipeline closed by Noop — the protocol's
-    /// signature optimization), sends, and folds the response frames back
-    /// into the common `Response` shape.
-    async fn sock_round_trip_bin(
+    /// Binary-protocol round trip: sends the request's frames and reads
+    /// response frames up to the one answering the last request frame (a
+    /// stats report ends at its empty frame instead).
+    async fn bin_round_trip(
         &self,
         sock: &Rc<Socket>,
-        cmd: &Command,
-    ) -> Result<Response, McError> {
-        let frames = command_to_frames(cmd);
+        frames: Vec<BinFrame>,
+        op: McOp,
+    ) -> Result<Vec<BinFrame>, McError> {
         let Some(terminal) = frames.last() else {
             return Err(McError::Protocol);
         };
@@ -2112,7 +1756,7 @@ impl CliInner {
         self.sock_sent_marker(span_id);
 
         let sock = sock.clone();
-        let is_stat = matches!(cmd, Command::Stats { .. });
+        let is_stat = op == McOp::Stats;
         let fut: Pin<Box<dyn std::future::Future<Output = Result<Vec<BinFrame>, McError>>>> =
             Box::pin(async move {
                 let mut buf = Vec::new();
@@ -2150,7 +1794,7 @@ impl CliInner {
             }
         };
         self.close_sock_span(span_id, true);
-        frames_to_response(cmd, frames)
+        Ok(frames)
     }
 
     /// The memcached UDP protocol (SIII): one framed request datagram,
@@ -2200,195 +1844,6 @@ impl CliInner {
         match timeout(&self.sim, self.cfg.op_timeout, fut).await {
             Ok(r) => r,
             Err(_) => Err(McError::Timeout),
-        }
-    }
-}
-
-/// Encodes one logical command as binary frames. Multi-key fetches become
-/// quiet GetKQ frames closed by a Noop; everything else is one frame.
-fn command_to_frames(cmd: &Command) -> Vec<BinFrame> {
-    let mut opaque = 1u32;
-    let mut next = || {
-        opaque += 1;
-        opaque
-    };
-    match cmd {
-        Command::Store {
-            verb,
-            key,
-            flags,
-            exptime,
-            data,
-            noreply: _,
-        } => {
-            let opcode = match verb {
-                StoreVerb::Set => BinOpcode::Set,
-                StoreVerb::Add => BinOpcode::Add,
-                StoreVerb::Replace => BinOpcode::Replace,
-                StoreVerb::Append => BinOpcode::Append,
-                StoreVerb::Prepend => BinOpcode::Prepend,
-            };
-            let mut f = BinFrame::request(opcode, next());
-            if !matches!(verb, StoreVerb::Append | StoreVerb::Prepend) {
-                f.extras = store_extras(*flags, *exptime);
-            }
-            f.key = key.clone();
-            f.value = data.clone();
-            vec![f]
-        }
-        Command::Cas {
-            key,
-            flags,
-            exptime,
-            cas,
-            data,
-            noreply: _,
-        } => {
-            let mut f = BinFrame::request(BinOpcode::Set, next());
-            f.extras = store_extras(*flags, *exptime);
-            f.key = key.clone();
-            f.value = data.clone();
-            f.cas = *cas;
-            vec![f]
-        }
-        Command::Get { keys } | Command::Gets { keys } => {
-            if keys.len() == 1 {
-                let mut f = BinFrame::request(BinOpcode::GetK, next());
-                f.key = keys[0].clone();
-                vec![f]
-            } else {
-                let mut out: Vec<BinFrame> = keys
-                    .iter()
-                    .map(|k| {
-                        let mut f = BinFrame::request(BinOpcode::GetKQ, next());
-                        f.key = k.clone();
-                        f
-                    })
-                    .collect();
-                out.push(BinFrame::request(BinOpcode::Noop, next()));
-                out
-            }
-        }
-        Command::Delete { key, noreply: _ } => {
-            let mut f = BinFrame::request(BinOpcode::Delete, next());
-            f.key = key.clone();
-            vec![f]
-        }
-        Command::Incr {
-            key,
-            delta,
-            noreply: _,
-        } => {
-            let mut f = BinFrame::request(BinOpcode::Increment, next());
-            f.key = key.clone();
-            f.extras = arith_extras(*delta, 0, u32::MAX);
-            vec![f]
-        }
-        Command::Decr {
-            key,
-            delta,
-            noreply: _,
-        } => {
-            let mut f = BinFrame::request(BinOpcode::Decrement, next());
-            f.key = key.clone();
-            f.extras = arith_extras(*delta, 0, u32::MAX);
-            vec![f]
-        }
-        Command::Touch {
-            key,
-            exptime,
-            noreply: _,
-        } => {
-            let mut f = BinFrame::request(BinOpcode::Touch, next());
-            f.key = key.clone();
-            f.extras = exptime.to_be_bytes().to_vec();
-            vec![f]
-        }
-        Command::FlushAll { delay, noreply: _ } => {
-            let mut f = BinFrame::request(BinOpcode::Flush, next());
-            if *delay > 0 {
-                f.extras = delay.to_be_bytes().to_vec();
-            }
-            vec![f]
-        }
-        Command::Stats { .. } => vec![BinFrame::request(BinOpcode::Stat, next())],
-        Command::Version => vec![BinFrame::request(BinOpcode::Version, next())],
-        Command::Quit => vec![BinFrame::request(BinOpcode::Quit, next())],
-    }
-}
-
-/// Folds binary response frames back into the shared `Response` shape.
-fn frames_to_response(cmd: &Command, frames: Vec<BinFrame>) -> Result<Response, McError> {
-    match cmd {
-        Command::Get { .. } | Command::Gets { .. } => {
-            let mut values = Vec::new();
-            for f in frames {
-                match f.opcode {
-                    BinOpcode::GetK | BinOpcode::GetKQ => {
-                        if f.status() == Some(BinStatus::Ok) {
-                            let flags = f
-                                .extras
-                                .as_slice()
-                                .try_into()
-                                .map(u32::from_be_bytes)
-                                .unwrap_or(0);
-                            values.push(GetValue {
-                                key: f.key,
-                                flags,
-                                data: f.value,
-                                cas: Some(f.cas),
-                            });
-                        }
-                    }
-                    BinOpcode::Noop => {}
-                    _ => return Err(McError::Protocol),
-                }
-            }
-            Ok(Response::Values(values))
-        }
-        Command::Stats { .. } => {
-            let mut stats = Vec::new();
-            for f in frames {
-                if f.key.is_empty() {
-                    break;
-                }
-                stats.push((
-                    String::from_utf8_lossy(&f.key).into_owned(),
-                    String::from_utf8_lossy(&f.value).into_owned(),
-                ));
-            }
-            Ok(Response::Stats(stats))
-        }
-        _ => {
-            let f = frames.last().ok_or(McError::Protocol)?;
-            let status = f.status().ok_or(McError::Protocol)?;
-            Ok(match (status, cmd) {
-                (BinStatus::Ok, Command::Incr { .. } | Command::Decr { .. }) => {
-                    let n = f
-                        .value
-                        .as_slice()
-                        .try_into()
-                        .map(u64::from_be_bytes)
-                        .map_err(|_| McError::Protocol)?;
-                    Response::Number(n)
-                }
-                (BinStatus::Ok, Command::Delete { .. }) => Response::Deleted,
-                (BinStatus::Ok, Command::Touch { .. }) => Response::Touched,
-                (BinStatus::Ok, Command::Version) => {
-                    Response::Version(String::from_utf8_lossy(&f.value).into_owned())
-                }
-                (BinStatus::Ok, Command::FlushAll { .. }) => Response::Ok,
-                (BinStatus::Ok, _) => Response::Stored,
-                (BinStatus::KeyNotFound, _) => Response::NotFound,
-                (BinStatus::KeyExists, _) => Response::Exists,
-                (BinStatus::NotStored, _) => Response::NotStored,
-                (BinStatus::TooLarge, _) => Response::ServerError("object too large".into()),
-                (BinStatus::OutOfMemory, _) => Response::ServerError("out of memory".into()),
-                (BinStatus::NonNumeric, _) => {
-                    Response::ClientError("cannot increment or decrement non-numeric value".into())
-                }
-                (BinStatus::InvalidArgs | BinStatus::UnknownCommand, _) => Response::Error,
-            })
         }
     }
 }

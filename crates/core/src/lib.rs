@@ -33,6 +33,7 @@
 
 mod am_wire;
 mod client;
+mod codec;
 mod observatory;
 mod server;
 mod world;

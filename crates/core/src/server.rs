@@ -15,34 +15,42 @@
 //!
 //! Workers are simulated threads: each occupies itself for the service
 //! time of a request, which is what caps server throughput in Figure 6.
+//!
+//! Whatever the wire, a worker serves a request the same way: the wire's
+//! decoder turns it into the AM request header, the one executor
+//! (`exec`) charges service time and runs it against the store, and the
+//! wire's encoder turns the reply back into its own framing.
 
 use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::rc::{Rc, Weak};
 
 use mcproto::{
-    encode_response, parse_command, udp_fragment, BinFrame, BinOpcode, BinStatus, Command,
-    GetValue, Response, StoreVerb, UdpFrame, MAGIC_REQUEST,
+    encode_response, parse_command, udp_fragment, BinFrame, BinOpcode, Command, Response, UdpFrame,
+    MAGIC_REQUEST,
 };
 use mcstore::{
-    ClassId, NumericError, SegmentedStore, SetOutcome, ShardRouter, SlabAllocator, SlabEvent,
-    Store, StoreConfig,
+    ClassId, SegmentedStore, ShardRouter, SlabAllocator, SlabEvent, Store, StoreConfig, Value,
 };
 use simnet::metrics::{Histogram, LatencySpans, Metrics, Stage};
 use simnet::sync::{self, Receiver, Sender};
 use simnet::trace::{Layer, Track};
-use simnet::vlock::{VLock, VLockGuard, VLockMeters};
+use simnet::vlock::{VLock, VLockMeters};
 use simnet::{NodeId, Sim, SimDuration, Stack, Tracer};
 use socksim::DgramSocket;
 use socksim::Socket;
 use ucr::{AmData, AmHandler, Endpoint, SendOptions, UcrMemory, UcrRuntime};
 
 use crate::am_wire::{
-    encode_mget_entry, DirReq, DirResp, McOp, ReqHeader, RespHeader, RespStatus,
-    BYPASS_VERSION_BYTES, MSG_MC_DIR_REQ, MSG_MC_DIR_RESP, MSG_MC_REQ, MSG_MC_RESP,
+    DirReq, DirResp, McOp, ReqHeader, RespHeader, RespStatus, BYPASS_VERSION_BYTES, MSG_MC_DIR_REQ,
+    MSG_MC_DIR_RESP, MSG_MC_REQ, MSG_MC_RESP,
 };
+use crate::codec::{ascii_request, ascii_response, bin_request, bin_response};
 use crate::observatory::{ObservatoryConfig, WorkloadObservatory};
 use crate::world::World;
+
+mod exec;
+pub(crate) use exec::Reply;
 
 /// Simulated epoch: the store's unix clock starts here (spring 2011).
 pub const BASE_UNIX_TIME: u32 = 1_300_000_000;
@@ -141,14 +149,14 @@ enum WorkItem {
         data: Vec<u8>,
     },
     /// One shard's slice of a multi-shard `Mget`, routed to that shard's
-    /// affine worker. Parts share a [`MgetMerge`]; the last part to finish
-    /// encodes the combined response.
+    /// affine worker: an ordinary one-shard multi-get. Parts share a
+    /// [`MgetMerge`]; the last part to finish encodes the combined response.
     UcrMgetPart {
         ep: Endpoint,
         merge: Rc<RefCell<MgetMerge>>,
-        shard: usize,
-        /// `(original key index, key)` pairs owned by `shard`.
-        keys: Vec<(usize, Vec<u8>)>,
+        part: ReqHeader,
+        /// Each part key's index in the original request.
+        idxs: Vec<usize>,
     },
     Sock {
         sock: Rc<Socket>,
@@ -166,9 +174,6 @@ enum WorkItem {
     },
 }
 
-/// One resolved `Mget` hit: `(key, flags, cas, data)`.
-type MgetSlot = (Vec<u8>, u32, u64, Vec<u8>);
-
 /// Scatter/gather state for a multi-shard `Mget` split at dispatch.
 ///
 /// Slots are indexed by the key's position in the original request so the
@@ -176,7 +181,7 @@ type MgetSlot = (Vec<u8>, u32, u64, Vec<u8>);
 /// shard finishes last.
 struct MgetMerge {
     req: ReqHeader,
-    slots: Vec<Option<MgetSlot>>,
+    slots: Vec<Option<Value>>,
     remaining: usize,
 }
 
@@ -192,8 +197,9 @@ struct SrvInner {
     /// Virtual-time locks guarding store access: empty under `Idealized`,
     /// one under `GlobalLock`, one per segment under `Sharded`.
     locks: Vec<Rc<VLock>>,
-    /// Span keys for socket-path lock spans (sockets carry no `req_id`);
-    /// starts at 1 so no span is keyed by a literal zero.
+    /// Request ids for the id-less wires (socket streams, UDP), keying
+    /// their trace and lock spans; starts at 1 so no span is keyed by a
+    /// literal zero.
     sock_op: Cell<u64>,
     workers: Vec<Sender<WorkItem>>,
     next_worker: Cell<usize>,
@@ -282,26 +288,32 @@ impl AmHandler for ReqDispatch {
         // to (paper §V-A).
         if matches!(srv.model, StoreModel::Sharded(_)) {
             if req.op == McOp::Mget {
-                let mut groups: BTreeMap<usize, Vec<(usize, Vec<u8>)>> = BTreeMap::new();
+                let mut groups: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
                 for (i, k) in req.keys.iter().enumerate() {
-                    groups
-                        .entry(srv.router.index(k))
-                        .or_default()
-                        .push((i, k.clone()));
+                    groups.entry(srv.router.index(k)).or_default().push(i);
                 }
                 if groups.len() > 1 {
+                    let parts: Vec<_> = groups
+                        .into_iter()
+                        .map(|(shard, idxs)| {
+                            let keys = idxs.iter().map(|&i| req.keys[i].clone()).collect();
+                            let part =
+                                ReqHeader::with_keys(McOp::Mget, req.req_id, req.ctr_id, keys);
+                            (shard, part, idxs)
+                        })
+                        .collect();
                     let merge = Rc::new(RefCell::new(MgetMerge {
-                        slots: vec![None; req.keys.len()],
-                        remaining: groups.len(),
+                        slots: req.keys.iter().map(|_| None).collect(),
+                        remaining: parts.len(),
                         req,
                     }));
-                    for (shard, keys) in groups {
+                    for (shard, part, idxs) in parts {
                         let _ =
                             srv.workers[srv.worker_for_shard(shard)].send(WorkItem::UcrMgetPart {
                                 ep: ep.clone(),
                                 merge: merge.clone(),
-                                shard,
-                                keys,
+                                part,
+                                idxs,
                             });
                     }
                     return;
@@ -801,40 +813,34 @@ impl SrvInner {
         shard % self.workers.len()
     }
 
-    /// Fresh span key for socket-path lock spans (sockets have no
-    /// `req_id`); never zero.
+    /// Books one request read off a socket stream (ASCII or binary) and
+    /// queues it for the connection's worker.
+    fn queue_stream_request(&self, widx: usize, item: WorkItem) {
+        self.stats
+            .sock_requests
+            .set(self.stats.sock_requests.get() + 1);
+        // No request id on the stream wire: attribute by the one open span
+        // (single-client attribution runs).
+        self.span(|sp| sp.mark_open(Stage::RequestWire, self.sim.now()));
+        // Detail-mode dispatch mark: op 0 means "no wire id" — the
+        // profiler attributes it by the single open client op.
+        self.tracer.instant_detail(
+            Layer::Core,
+            "dispatch",
+            self.node,
+            Track::Main,
+            0,
+            0,
+            self.sim.now(),
+        );
+        let _ = self.workers[widx].send(item);
+    }
+
+    /// Fresh request id for an id-less wire's request; never zero.
     fn next_sock_op(&self) -> u64 {
         let op = self.sock_op.get();
         self.sock_op.set(op + 1);
         op
-    }
-
-    /// Acquires the store locks a request touching `shards` needs, in
-    /// ascending order (the deadlock-free total order), then charges the
-    /// per-key hash/item cost *inside* the critical section — that is
-    /// the serialized portion of upstream memcached's `cache_lock`.
-    /// Returns no guards under `Idealized` (callers charge the combined
-    /// [`Self::service_cost`] instead).
-    async fn lock_shards(
-        self: &Rc<Self>,
-        shards: impl IntoIterator<Item = usize>,
-        keys: usize,
-        op: u64,
-        track: Track,
-    ) -> Vec<VLockGuard> {
-        let mut guards = Vec::new();
-        match self.model {
-            StoreModel::Idealized => return guards,
-            StoreModel::GlobalLock => guards.push(self.locks[0].lock(op, track).await),
-            StoreModel::Sharded(_) => {
-                let set: std::collections::BTreeSet<usize> = shards.into_iter().collect();
-                for s in set {
-                    guards.push(self.locks[s].lock(op, track).await);
-                }
-            }
-        }
-        self.sim.sleep(self.hash_lookup * keys.max(1) as u64).await;
-        guards
     }
 
     fn now_secs(&self) -> u32 {
@@ -988,34 +994,6 @@ fn prom_stat_lines(srv: &SrvInner, store: &SegmentedStore) -> Vec<(String, Strin
         .collect()
 }
 
-/// The `stats hot` sub-report: the workload observatory's hot-key table
-/// (a disabled observatory answers with a single `observatory off` line,
-/// as do the other observatory verbs).
-fn hot_stat_lines(srv: &SrvInner) -> Vec<(String, String)> {
-    match srv.observatory.as_ref() {
-        Some(obs) => obs.hot_stat_lines(srv.sim.now()),
-        None => vec![("observatory".to_string(), "off".to_string())],
-    }
-}
-
-/// The `stats slo` sub-report: per-op objectives with rolling compliance
-/// and error-budget burn.
-fn slo_stat_lines(srv: &SrvInner) -> Vec<(String, String)> {
-    match srv.observatory.as_ref() {
-        Some(obs) => obs.slo_stat_lines(srv.sim.now()),
-        None => vec![("observatory".to_string(), "off".to_string())],
-    }
-}
-
-/// The `stats exemplars` sub-report: gate counters plus the captured
-/// tail records.
-fn exemplar_stat_lines(srv: &SrvInner) -> Vec<(String, String)> {
-    match srv.observatory.as_ref() {
-        Some(obs) => obs.exemplar_stat_lines(),
-        None => vec![("observatory".to_string(), "off".to_string())],
-    }
-}
-
 /// The `stats trace` sub-report: per-layer event counts plus the state of
 /// the flight recorder (paper-independent observability surface).
 fn trace_stat_lines(srv: &SrvInner) -> Vec<(String, String)> {
@@ -1037,17 +1015,6 @@ fn trace_stat_lines(srv: &SrvInner) -> Vec<(String, String)> {
     ));
     lines.push(("trace.faults".into(), t.fault_count().to_string()));
     lines
-}
-
-/// The `stats profile` sub-report: the attached profiler's critical-path
-/// aggregates, windowed signatures, and unaccounted-time audit (a single
-/// `profiler off` line when none is attached — profiling is opt-in, like
-/// the observatory).
-fn profile_stat_lines(srv: &SrvInner) -> Vec<(String, String)> {
-    match srv.tracer.profiler() {
-        Some(p) => p.stat_lines(),
-        None => vec![("profiler".to_string(), "off".to_string())],
-    }
 }
 
 async fn worker_loop(srv: Weak<SrvInner>, rx: Receiver<WorkItem>, widx: u32) {
@@ -1089,19 +1056,31 @@ async fn worker_loop(srv: Weak<SrvInner>, rx: Receiver<WorkItem>, widx: u32) {
                 WorkItem::UcrMgetPart {
                     ep,
                     merge,
-                    shard,
-                    keys,
-                } => serve_ucr_mget_part(&inner, ep, merge, shard, keys, widx).await,
-                WorkItem::Sock { sock, cmd } => serve_sock(&inner, sock, cmd, widx).await,
+                    part,
+                    idxs,
+                } => serve_ucr_mget_part(&inner, ep, merge, part, idxs, widx).await,
+                WorkItem::Sock { sock, cmd } => {
+                    if let Some(wire) = serve_ascii(&inner, cmd, widx).await {
+                        let _ = sock.write_all(&wire).await;
+                    }
+                }
                 WorkItem::SockBin { sock, frame } => {
-                    serve_sock_bin(&inner, sock, frame, widx).await
+                    if let Some(wire) = serve_bin(&inner, frame, widx).await {
+                        let _ = sock.write_all(&wire).await;
+                    }
                 }
                 WorkItem::SockUdp {
                     sock,
                     src,
                     request_id,
                     cmd,
-                } => serve_sock_udp(&inner, sock, src, request_id, cmd, widx).await,
+                } => {
+                    if let Some(wire) = serve_ascii(&inner, cmd, widx).await {
+                        for datagram in udp_fragment(request_id, &wire) {
+                            let _ = sock.send_to(src, &datagram).await;
+                        }
+                    }
+                }
             }
         }
         // Batch drained: refresh the storage-occupancy gauges so a
@@ -1115,326 +1094,59 @@ async fn worker_loop(srv: Weak<SrvInner>, rx: Receiver<WorkItem>, widx: u32) {
 }
 
 // ---------------------------------------------------------------------
-// UCR service path
+// UCR edge: the AM request header is already the executor's request
 // ---------------------------------------------------------------------
 
 async fn serve_ucr(srv: &Rc<SrvInner>, ep: Endpoint, req: ReqHeader, data: Vec<u8>, widx: u32) {
-    // The connection's worker picked the item up: dispatch wait ends.
-    let service_start = srv.sim.now();
-    srv.span(|sp| sp.mark(req.req_id, Stage::DispatchWait, service_start));
-    srv.tracer.begin(
-        Layer::Core,
-        "worker_service",
-        srv.node,
-        Track::Worker(widx),
-        req.req_id,
-        data.len() as u64,
-        service_start,
-    );
-    let key = req.keys.first().cloned().unwrap_or_default();
-    // Idealized: the whole service time is one uncontended charge — the
-    // exact schedule every pre-`StoreModel` experiment ran under. Locked
-    // models split it: the fixed dispatch/parse portion runs lock-free,
-    // then `lock_shards` serializes the hash/item portion.
-    let _guards = match srv.model {
-        StoreModel::Idealized => {
-            srv.sim.sleep(srv.service_cost(req.keys.len())).await;
-            Vec::new()
-        }
-        _ => {
-            srv.sim.sleep(srv.worker_fixed).await;
-            let shards: Vec<usize> = match req.op {
-                // Flush and stats touch every segment.
-                McOp::FlushAll | McOp::Stats => (0..srv.router.count()).collect(),
-                _ => vec![srv.router.index(&key)],
-            };
-            srv.lock_shards(shards, req.keys.len(), req.req_id, Track::Worker(widx))
-                .await
-        }
-    };
-    let now = srv.now_secs();
-    let mut resp = RespHeader {
-        req_id: req.req_id,
-        status: RespStatus::Ok,
-        flags: 0,
-        cas: 0,
-        number: 0,
-        nvalues: 0,
-    };
-    let mut payload: Vec<u8> = Vec::new();
-    let mut store = srv.store.borrow_mut();
-    match req.op {
-        McOp::Get => match store.get(&key, now) {
-            Some(v) => {
-                resp.status = RespStatus::Hit;
-                resp.flags = v.flags;
-                resp.cas = v.cas;
-                payload = v.data;
-            }
-            None => resp.status = RespStatus::Miss,
-        },
-        McOp::Mget => {
-            let mut n = 0u16;
-            for k in &req.keys {
-                if let Some(v) = store.get(k, now) {
-                    encode_mget_entry(&mut payload, k, v.flags, v.cas, &v.data);
-                    n += 1;
-                }
-            }
-            resp.status = RespStatus::Hit;
-            resp.nvalues = n;
-        }
-        McOp::Set | McOp::Add | McOp::Replace | McOp::Append | McOp::Prepend => {
-            let outcome = match req.op {
-                McOp::Set => store.set(&key, &data, req.flags, req.exptime, now),
-                McOp::Add => store.add(&key, &data, req.flags, req.exptime, now),
-                McOp::Replace => store.replace(&key, &data, req.flags, req.exptime, now),
-                McOp::Append => store.append(&key, &data, now),
-                McOp::Prepend => store.prepend(&key, &data, now),
-                _ => unreachable!(),
-            };
-            resp.status = outcome_status(outcome);
-        }
-        McOp::Cas => {
-            let outcome = store.cas(&key, &data, req.flags, req.exptime, req.cas, now);
-            resp.status = outcome_status(outcome);
-        }
-        McOp::Delete => {
-            resp.status = if store.delete(&key, now) {
-                RespStatus::Ok
-            } else {
-                RespStatus::NotFound
-            };
-        }
-        McOp::Incr | McOp::Decr => {
-            let r = if req.op == McOp::Incr {
-                store.incr(&key, req.delta, now)
-            } else {
-                store.decr(&key, req.delta, now)
-            };
-            match r {
-                Ok(n) => {
-                    resp.status = RespStatus::Number;
-                    resp.number = n;
-                }
-                Err(NumericError::NotFound) => resp.status = RespStatus::NotFound,
-                Err(NumericError::NotNumeric) => resp.status = RespStatus::NotNumeric,
-            }
-        }
-        McOp::Touch => {
-            resp.status = if store.touch(&key, req.exptime, now) {
-                RespStatus::Ok
-            } else {
-                RespStatus::NotFound
-            };
-        }
-        McOp::FlushAll => {
-            store.flush_all(now + req.exptime);
-            resp.status = RespStatus::Ok;
-        }
-        McOp::Version => {
-            resp.status = RespStatus::Ok;
-            payload = SERVER_VERSION.as_bytes().to_vec();
-        }
-        McOp::Stats => {
-            resp.status = RespStatus::Ok;
-            payload = match key.as_slice() {
-                b"slabs" => stat_pairs_to_text(&store.slab_stat_lines()),
-                b"items" => stat_pairs_to_text(&store.item_stat_lines()),
-                b"trace" => stat_pairs_to_text(&trace_stat_lines(srv)),
-                b"prom" => stat_pairs_to_text(&prom_stat_lines(srv, &store)),
-                b"hot" => stat_pairs_to_text(&hot_stat_lines(srv)),
-                b"slo" => stat_pairs_to_text(&slo_stat_lines(srv)),
-                b"exemplars" => stat_pairs_to_text(&exemplar_stat_lines(srv)),
-                b"profile" => stat_pairs_to_text(&profile_stat_lines(srv)),
-                b"reset" => {
-                    srv.reset_all_stats(&mut store);
-                    "reset ok\n".to_string()
-                }
-                b"" => render_stats(srv, &store),
-                _ => String::new(),
-            }
-            .into_bytes();
-        }
-    }
-    if let Some(obs) = srv.observatory.as_ref() {
-        match req.op {
-            McOp::Get => {
-                let class = (resp.status == RespStatus::Hit)
-                    .then(|| store.class_of(key.len(), payload.len()))
-                    .flatten();
-                obs.observe_key(&key, false, class);
-            }
-            McOp::Mget => {
-                for k in &req.keys {
-                    obs.observe_key(k, false, None);
-                }
-            }
-            McOp::Set | McOp::Add | McOp::Replace | McOp::Append | McOp::Prepend | McOp::Cas => {
-                obs.observe_key(&key, true, store.class_of(key.len(), data.len()));
-            }
-            McOp::Delete | McOp::Incr | McOp::Decr | McOp::Touch => {
-                obs.observe_key(&key, true, None);
-            }
-            _ => {}
-        }
-    }
-    drop(store);
-    srv.sync_mirrors();
-    // Store work done; from here the response is on its way back.
-    let service_end = srv.sim.now();
-    srv.span(|sp| sp.mark(req.req_id, Stage::WorkerService, service_end));
-    srv.op_histogram(req.op)
-        .record(service_end.saturating_since(service_start));
-    if let Some(obs) = srv.observatory.as_ref() {
-        obs.observe_service(
-            req.op.label(),
-            &key,
-            data.len().max(payload.len()) as u64,
-            service_end.saturating_since(service_start),
-            req.req_id,
-            service_end,
-        );
-    }
-    srv.tracer.end(
-        Layer::Core,
-        "worker_service",
-        srv.node,
-        Track::Worker(widx),
-        req.req_id,
-        payload.len() as u64,
-        service_end,
-    );
-    // AM 2: the response, targeting the counter named in AM 1 (§V-B).
-    ep.post_message(
-        MSG_MC_RESP,
-        resp.encode(),
-        payload,
-        SendOptions {
-            target_ctr: req.ctr_id,
-            ..Default::default()
-        },
-    );
+    let (reply, _guards) = srv.execute(&req, &data, widx, true).await;
+    let (hdr, payload) = reply.into_am(&req.keys);
+    post_reply(&ep, req.ctr_id, hdr, payload);
 }
 
 /// Serves one shard's slice of a split `Mget` (the [`StoreModel::Sharded`]
-/// scatter/gather path). Each part charges its own fixed cost — the parts
-/// run on different workers, genuinely in parallel — and locks only its
-/// shard. The last part to finish encodes the merged response in original
-/// key order and posts the single `MSG_MC_RESP`.
+/// scatter/gather path). Each part is executed on its own — the parts run
+/// on different workers, genuinely in parallel — and the last part to
+/// finish encodes the merged response in original key order and posts the
+/// single `MSG_MC_RESP`.
 async fn serve_ucr_mget_part(
     srv: &Rc<SrvInner>,
     ep: Endpoint,
     merge: Rc<RefCell<MgetMerge>>,
-    shard: usize,
-    keys: Vec<(usize, Vec<u8>)>,
+    part: ReqHeader,
+    idxs: Vec<usize>,
     widx: u32,
 ) {
-    let service_start = srv.sim.now();
-    let (req_id, ctr_id) = {
-        let m = merge.borrow();
-        (m.req.req_id, m.req.ctr_id)
-    };
-    // Stage marks accumulate deltas per stage, so marking once per part
-    // attributes each part's queueing and service into the shared span.
-    srv.span(|sp| sp.mark(req_id, Stage::DispatchWait, service_start));
-    srv.tracer.begin(
-        Layer::Core,
-        "worker_service",
-        srv.node,
-        Track::Worker(widx),
-        req_id,
-        keys.len() as u64,
-        service_start,
-    );
-    srv.sim.sleep(srv.worker_fixed).await;
-    let _guards = srv
-        .lock_shards([shard], keys.len(), req_id, Track::Worker(widx))
-        .await;
-    let now = srv.now_secs();
-    {
-        let mut store = srv.store.borrow_mut();
-        let mut m = merge.borrow_mut();
-        for (i, k) in &keys {
-            if let Some(v) = store.get(k, now) {
-                m.slots[*i] = Some((k.clone(), v.flags, v.cas, v.data));
-            }
-            if let Some(obs) = srv.observatory.as_ref() {
-                obs.observe_key(k, false, None);
-            }
-        }
+    let (reply, _guards) = srv.execute(&part, &[], widx, true).await;
+    let mut m = merge.borrow_mut();
+    for (j, v) in reply.hits {
+        m.slots[idxs[j]] = Some(v);
     }
-    srv.sync_mirrors();
-    let service_end = srv.sim.now();
-    srv.span(|sp| sp.mark(req_id, Stage::WorkerService, service_end));
-    srv.op_histogram(McOp::Mget)
-        .record(service_end.saturating_since(service_start));
-    srv.tracer.end(
-        Layer::Core,
-        "worker_service",
-        srv.node,
-        Track::Worker(widx),
-        req_id,
-        keys.len() as u64,
-        service_end,
-    );
-    let finished = {
-        let mut m = merge.borrow_mut();
-        m.remaining -= 1;
-        m.remaining == 0
-    };
-    if !finished {
+    m.remaining -= 1;
+    if m.remaining > 0 {
         return;
     }
-    let m = merge.borrow();
-    let mut payload: Vec<u8> = Vec::new();
-    let mut n = 0u16;
-    for (k, flags, cas, data) in m.slots.iter().flatten() {
-        encode_mget_entry(&mut payload, k, *flags, *cas, data);
-        n += 1;
-    }
-    let resp = RespHeader {
-        req_id,
-        status: RespStatus::Hit,
-        flags: 0,
-        cas: 0,
-        number: 0,
-        nvalues: n,
-    };
-    if let Some(obs) = srv.observatory.as_ref() {
-        obs.observe_service(
-            McOp::Mget.label(),
-            m.req.keys.first().map(Vec::as_slice).unwrap_or_default(),
-            payload.len() as u64,
-            service_end.saturating_since(service_start),
-            req_id,
-            service_end,
-        );
-    }
+    let mut merged = Reply::new(m.req.req_id, RespStatus::Hit);
+    merged.hits = m
+        .slots
+        .iter_mut()
+        .enumerate()
+        .filter_map(|(i, slot)| Some((i, slot.take()?)))
+        .collect();
+    let (hdr, payload) = merged.into_am(&m.req.keys);
+    post_reply(&ep, m.req.ctr_id, hdr, payload);
+}
+
+/// AM 2: the response, targeting the counter named in AM 1 (§V-B).
+fn post_reply(ep: &Endpoint, target_ctr: u64, hdr: RespHeader, payload: Vec<u8>) {
     ep.post_message(
         MSG_MC_RESP,
-        resp.encode(),
+        hdr.encode(),
         payload,
         SendOptions {
-            target_ctr: ctr_id,
+            target_ctr,
             ..Default::default()
         },
     );
-}
-
-fn stat_pairs_to_text(pairs: &[(String, String)]) -> String {
-    pairs.iter().map(|(k, v)| format!("{k} {v}\n")).collect()
-}
-
-fn outcome_status(o: SetOutcome) -> RespStatus {
-    match o {
-        SetOutcome::Stored => RespStatus::Stored,
-        SetOutcome::NotStored => RespStatus::NotStored,
-        SetOutcome::Exists => RespStatus::Exists,
-        SetOutcome::NotFound => RespStatus::NotFound,
-        SetOutcome::TooLarge => RespStatus::TooLarge,
-        SetOutcome::OutOfMemory => RespStatus::OutOfMemory,
-    }
 }
 
 fn render_stats(srv: &SrvInner, store: &SegmentedStore) -> String {
@@ -1472,7 +1184,7 @@ fn render_stats(srv: &SrvInner, store: &SegmentedStore) -> String {
             put(&k, v);
         }
     }
-    // Per-operation worker service-time summaries (UCR path).
+    // Per-operation worker service-time summaries.
     {
         let hists = srv.op_hist.borrow();
         let mut labels: Vec<&&str> = hists.keys().collect();
@@ -1499,7 +1211,7 @@ fn render_stats(srv: &SrvInner, store: &SegmentedStore) -> String {
 }
 
 // ---------------------------------------------------------------------
-// Sockets service path
+// Sockets edges: ASCII (TCP, UDP) and binary codecs around the executor
 // ---------------------------------------------------------------------
 
 /// Per-connection event task: reads, frames commands, and hands them to
@@ -1536,28 +1248,8 @@ async fn conn_reader(srv: Weak<SrvInner>, sock: Rc<Socket>, widx: usize) {
                     sock.close();
                     return;
                 }
-                inner
-                    .stats
-                    .sock_requests
-                    .set(inner.stats.sock_requests.get() + 1);
-                // No request id on the ASCII wire: attribute by the one
-                // open span (single-client attribution runs).
-                inner.span(|sp| sp.mark_open(Stage::RequestWire, inner.sim.now()));
-                // Detail-mode dispatch mark: op 0 means "no wire id" — the
-                // profiler attributes it by the single open client op.
-                inner.tracer.instant_detail(
-                    Layer::Core,
-                    "dispatch",
-                    inner.node,
-                    Track::Main,
-                    0,
-                    0,
-                    inner.sim.now(),
-                );
-                let _ = inner.workers[widx].send(WorkItem::Sock {
-                    sock: sock.clone(),
-                    cmd,
-                });
+                let sock = sock.clone();
+                inner.queue_stream_request(widx, WorkItem::Sock { sock, cmd });
             }
             Ok(None) => match sock.read(64 * 1024).await {
                 Ok(bytes) => buf.extend_from_slice(&bytes),
@@ -1574,324 +1266,14 @@ async fn conn_reader(srv: Weak<SrvInner>, sock: Rc<Socket>, widx: usize) {
     }
 }
 
-async fn serve_sock(srv: &Rc<SrvInner>, sock: Rc<Socket>, cmd: Command, widx: u32) {
-    srv.span(|sp| sp.mark_open(Stage::DispatchWait, srv.sim.now()));
-    // One op id for the whole service: the detail-mode `worker_service`
-    // span and the lock spans taken under it share the id, so the folded
-    // profile nests lock_wait/lock_hold inside the service frame.
-    let op = srv.next_sock_op();
-    srv.tracer.begin_detail(
-        Layer::Core,
-        "worker_service",
-        srv.node,
-        Track::Worker(widx),
-        op,
-        0,
-        srv.sim.now(),
-    );
-    let (resp, noreply) = execute_ascii_timed(srv, cmd, widx, op).await;
-    srv.sync_mirrors();
-    srv.span(|sp| sp.mark_open(Stage::WorkerService, srv.sim.now()));
-    srv.tracer.end_detail(
-        Layer::Core,
-        "worker_service",
-        srv.node,
-        Track::Worker(widx),
-        op,
-        0,
-        srv.sim.now(),
-    );
-    if !noreply {
-        let _ = sock.write_all(&encode_response(&resp)).await;
-    }
-}
-
-/// Charges one ASCII command's service time under the configured lock
-/// model, then executes it. Shared by the TCP and UDP service paths.
-/// Socket connections keep their round-robin worker binding under every
-/// model — only the store locks are shard-aware here.
-async fn execute_ascii_timed(
-    srv: &Rc<SrvInner>,
-    cmd: Command,
-    widx: u32,
-    op: u64,
-) -> (Response, bool) {
-    let keys = match &cmd {
-        Command::Get { keys } | Command::Gets { keys } => keys.len(),
-        _ => 1,
-    };
-    match srv.model {
-        StoreModel::Idealized => {
-            srv.sim.sleep(srv.service_cost(keys)).await;
-            let now = srv.now_secs();
-            let mut store = srv.store.borrow_mut();
-            execute_ascii(srv, &mut store, cmd, now)
-        }
-        StoreModel::GlobalLock => {
-            srv.sim.sleep(srv.worker_fixed).await;
-            let _guards = srv.lock_shards([0], keys, op, Track::Worker(widx)).await;
-            let now = srv.now_secs();
-            let mut store = srv.store.borrow_mut();
-            execute_ascii(srv, &mut store, cmd, now)
-        }
-        StoreModel::Sharded(_) => {
-            srv.sim.sleep(srv.worker_fixed).await;
-            execute_ascii_sharded(srv, cmd, widx, op).await
-        }
-    }
-}
-
-/// The single key a mutating ASCII command addresses, if it has one.
-fn ascii_single_key(cmd: &Command) -> Option<&[u8]> {
-    match cmd {
-        Command::Store { key, .. }
-        | Command::Cas { key, .. }
-        | Command::Delete { key, .. }
-        | Command::Incr { key, .. }
-        | Command::Decr { key, .. }
-        | Command::Touch { key, .. } => Some(key),
-        _ => None,
-    }
-}
-
-/// Sharded execution of one ASCII command: single-key commands lock only
-/// their shard, multi-key reads visit their shards group by group, and
-/// whole-store commands (flush, stats) serialize against every shard in
-/// ascending order.
-async fn execute_ascii_sharded(
-    srv: &Rc<SrvInner>,
-    cmd: Command,
-    widx: u32,
-    op: u64,
-) -> (Response, bool) {
-    let track = Track::Worker(widx);
-    if let Some(shard) = ascii_single_key(&cmd).map(|k| srv.router.index(k)) {
-        let _guards = srv.lock_shards([shard], 1, op, track).await;
-        let now = srv.now_secs();
-        let mut store = srv.store.borrow_mut();
-        return execute_ascii(srv, &mut store, cmd, now);
-    }
-    let (keys, with_cas) = match cmd {
-        Command::Get { keys } => (keys, false),
-        Command::Gets { keys } => (keys, true),
-        other => {
-            let _guards = srv.lock_shards(0..srv.router.count(), 1, op, track).await;
-            let now = srv.now_secs();
-            let mut store = srv.store.borrow_mut();
-            return execute_ascii(srv, &mut store, other, now);
-        }
-    };
-    // Multi-key read: group by shard, lock and charge each group in
-    // turn, and reassemble hits in request order (slots are indexed by
-    // the key's original position).
-    let mut groups: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
-    for (i, k) in keys.iter().enumerate() {
-        groups.entry(srv.router.index(k)).or_default().push(i);
-    }
-    let mut slots: Vec<Option<GetValue>> = (0..keys.len()).map(|_| None).collect();
-    for (shard, idxs) in groups {
-        let _guards = srv.lock_shards([shard], idxs.len(), op, track).await;
-        let now = srv.now_secs();
-        let mut store = srv.store.borrow_mut();
-        for &i in &idxs {
-            slots[i] = store.get(&keys[i], now).map(|v| GetValue {
-                key: keys[i].clone(),
-                flags: v.flags,
-                cas: with_cas.then_some(v.cas),
-                data: v.data,
-            });
-        }
-        if let Some(obs) = srv.observatory.as_ref() {
-            for &i in &idxs {
-                let class = slots[i]
-                    .as_ref()
-                    .and_then(|v| store.class_of(keys[i].len(), v.data.len()));
-                obs.observe_key(&keys[i], false, class);
-            }
-        }
-        drop(store);
-        srv.sync_mirrors();
-    }
-    (
-        Response::Values(slots.into_iter().flatten().collect()),
-        false,
-    )
-}
-
-/// Executes one ASCII command against the store; shared by the TCP and
-/// UDP service paths. Returns the response and the `noreply` flag.
-fn execute_ascii(
-    srv: &Rc<SrvInner>,
-    store: &mut SegmentedStore,
-    cmd: Command,
-    now: u32,
-) -> (Response, bool) {
-    match cmd {
-        Command::Store {
-            verb,
-            key,
-            flags,
-            exptime,
-            data,
-            noreply,
-        } => {
-            let outcome = match verb {
-                StoreVerb::Set => store.set(&key, &data, flags, exptime, now),
-                StoreVerb::Add => store.add(&key, &data, flags, exptime, now),
-                StoreVerb::Replace => store.replace(&key, &data, flags, exptime, now),
-                StoreVerb::Append => store.append(&key, &data, now),
-                StoreVerb::Prepend => store.prepend(&key, &data, now),
-            };
-            if let Some(obs) = srv.observatory.as_ref() {
-                obs.observe_key(&key, true, store.class_of(key.len(), data.len()));
-            }
-            (store_response(outcome), noreply)
-        }
-        Command::Cas {
-            key,
-            flags,
-            exptime,
-            cas,
-            data,
-            noreply,
-        } => (
-            store_response(store.cas(&key, &data, flags, exptime, cas, now)),
-            noreply,
-        ),
-        Command::Get { keys } => {
-            let values = fetch_values(store, &keys, now, false);
-            observe_ascii_reads(srv, store, &keys, &values);
-            (Response::Values(values), false)
-        }
-        Command::Gets { keys } => {
-            let values = fetch_values(store, &keys, now, true);
-            observe_ascii_reads(srv, store, &keys, &values);
-            (Response::Values(values), false)
-        }
-        Command::Delete { key, noreply } => {
-            let resp = if store.delete(&key, now) {
-                Response::Deleted
-            } else {
-                Response::NotFound
-            };
-            (resp, noreply)
-        }
-        Command::Incr {
-            key,
-            delta,
-            noreply,
-        } => (numeric_response(store.incr(&key, delta, now)), noreply),
-        Command::Decr {
-            key,
-            delta,
-            noreply,
-        } => (numeric_response(store.decr(&key, delta, now)), noreply),
-        Command::Touch {
-            key,
-            exptime,
-            noreply,
-        } => {
-            let resp = if store.touch(&key, exptime, now) {
-                Response::Touched
-            } else {
-                Response::NotFound
-            };
-            (resp, noreply)
-        }
-        Command::FlushAll { delay, noreply } => {
-            store.flush_all(now + delay);
-            (Response::Ok, noreply)
-        }
-        Command::Stats { arg } => {
-            let lines = match arg.as_deref() {
-                Some(b"slabs") => store.slab_stat_lines(),
-                Some(b"items") => store.item_stat_lines(),
-                Some(b"trace") => trace_stat_lines(srv),
-                Some(b"prom") => prom_stat_lines(srv, store),
-                Some(b"hot") => hot_stat_lines(srv),
-                Some(b"slo") => slo_stat_lines(srv),
-                Some(b"exemplars") => exemplar_stat_lines(srv),
-                Some(b"profile") => profile_stat_lines(srv),
-                Some(b"reset") => {
-                    srv.reset_all_stats(store);
-                    vec![("reset".to_string(), "ok".to_string())]
-                }
-                Some(_) => Vec::new(), // unknown sub-report: bare END
-                None => render_stats(srv, store)
-                    .lines()
-                    .map(|l| {
-                        let mut it = l.splitn(2, ' ');
-                        (
-                            it.next().unwrap_or_default().to_string(),
-                            it.next().unwrap_or_default().to_string(),
-                        )
-                    })
-                    .collect(),
-            };
-            (Response::Stats(lines), false)
-        }
-        Command::Version => (Response::Version(SERVER_VERSION.to_string()), false),
-        Command::Quit => (Response::Error, true), // handled by the reader
-    }
-}
-
-fn store_response(o: SetOutcome) -> Response {
-    match o {
-        SetOutcome::Stored => Response::Stored,
-        SetOutcome::NotStored => Response::NotStored,
-        SetOutcome::Exists => Response::Exists,
-        SetOutcome::NotFound => Response::NotFound,
-        SetOutcome::TooLarge => Response::ServerError("object too large for cache".into()),
-        SetOutcome::OutOfMemory => Response::ServerError("out of memory storing object".into()),
-    }
-}
-
-/// Feeds ASCII-path GET keys into the observatory: hits carry the slab
-/// class their value occupies, misses carry none.
-fn observe_ascii_reads(
-    srv: &SrvInner,
-    store: &SegmentedStore,
-    keys: &[Vec<u8>],
-    values: &[GetValue],
-) {
-    let Some(obs) = srv.observatory.as_ref() else {
-        return;
-    };
-    for k in keys {
-        let class = values
-            .iter()
-            .find(|v| &v.key == k)
-            .and_then(|v| store.class_of(k.len(), v.data.len()));
-        obs.observe_key(k, false, class);
-    }
-}
-
-fn fetch_values(
-    store: &mut SegmentedStore,
-    keys: &[Vec<u8>],
-    now: u32,
-    with_cas: bool,
-) -> Vec<GetValue> {
-    keys.iter()
-        .filter_map(|k| {
-            store.get(k, now).map(|v| GetValue {
-                key: k.clone(),
-                flags: v.flags,
-                cas: with_cas.then_some(v.cas),
-                data: v.data,
-            })
-        })
-        .collect()
-}
-
-fn numeric_response(r: Result<u64, NumericError>) -> Response {
-    match r {
-        Ok(n) => Response::Number(n),
-        Err(NumericError::NotFound) => Response::NotFound,
-        Err(NumericError::NotNumeric) => {
-            Response::ClientError("cannot increment or decrement non-numeric value".into())
-        }
-    }
+/// The ASCII edge, shared by TCP and UDP: decode, execute, encode.
+/// `None` when the command wants no reply. The store locks drop on return,
+/// before the caller writes.
+async fn serve_ascii(srv: &Rc<SrvInner>, cmd: Command, widx: u32) -> Option<Vec<u8>> {
+    let ascii = ascii_request(cmd, srv.next_sock_op())?;
+    let (reply, _guards) = srv.execute(&ascii.req, &ascii.data, widx, false).await;
+    let resp = ascii_response(&ascii.req, ascii.with_cas, reply);
+    (!ascii.noreply).then(|| encode_response(&resp))
 }
 
 /// Binary-protocol connection loop (frames instead of lines).
@@ -1909,24 +1291,8 @@ async fn conn_reader_bin(srv: Weak<SrvInner>, sock: Rc<Socket>, widx: usize, mut
                     sock.close();
                     return;
                 }
-                inner
-                    .stats
-                    .sock_requests
-                    .set(inner.stats.sock_requests.get() + 1);
-                inner.span(|sp| sp.mark_open(Stage::RequestWire, inner.sim.now()));
-                inner.tracer.instant_detail(
-                    Layer::Core,
-                    "dispatch",
-                    inner.node,
-                    Track::Main,
-                    0,
-                    0,
-                    inner.sim.now(),
-                );
-                let _ = inner.workers[widx].send(WorkItem::SockBin {
-                    sock: sock.clone(),
-                    frame,
-                });
+                let sock = sock.clone();
+                inner.queue_stream_request(widx, WorkItem::SockBin { sock, frame });
             }
             Ok(None) => match sock.read(64 * 1024).await {
                 Ok(bytes) => buf.extend_from_slice(&bytes),
@@ -1940,239 +1306,34 @@ async fn conn_reader_bin(srv: Weak<SrvInner>, sock: Rc<Socket>, widx: usize, mut
     }
 }
 
-// The store borrow is explicitly dropped before every await in this
-// function (the lint cannot see through `drop()`).
-#[allow(clippy::await_holding_refcell_ref)]
-async fn serve_sock_bin(srv: &Rc<SrvInner>, sock: Rc<Socket>, frame: BinFrame, widx: u32) {
-    srv.span(|sp| sp.mark_open(Stage::DispatchWait, srv.sim.now()));
-    let op = srv.next_sock_op();
-    srv.tracer.begin_detail(
-        Layer::Core,
-        "worker_service",
-        srv.node,
-        Track::Worker(widx),
-        op,
-        0,
-        srv.sim.now(),
-    );
-    // Binary commands are all single-key (quiet multiget is a pipeline of
-    // single-key frames), so locked models charge one hash lookup under
-    // the owning shard's lock; flush and stats serialize everywhere.
-    let mut guards = Vec::new();
-    match srv.model {
-        StoreModel::Idealized => srv.sim.sleep(srv.service_cost(1)).await,
-        _ => {
-            srv.sim.sleep(srv.worker_fixed).await;
-            let shards: Vec<usize> = match frame.opcode {
-                BinOpcode::Flush | BinOpcode::Stat => (0..srv.router.count()).collect(),
-                _ => vec![srv.router.index(&frame.key)],
-            };
-            guards = srv.lock_shards(shards, 1, op, Track::Worker(widx)).await;
-        }
-    }
-    let now = srv.now_secs();
-    let mut store = srv.store.borrow_mut();
-    let mut resp = BinFrame::response(&frame, BinStatus::Ok);
-    let mut replies: Vec<BinFrame> = Vec::new();
-    let mut quiet_suppress = false;
-
-    match frame.opcode {
-        BinOpcode::Get | BinOpcode::GetK | BinOpcode::GetQ | BinOpcode::GetKQ => {
-            match store.get(&frame.key, now) {
-                Some(v) => {
-                    resp.extras = v.flags.to_be_bytes().to_vec();
-                    resp.cas = v.cas;
-                    resp.value = v.data;
-                    if matches!(frame.opcode, BinOpcode::GetK | BinOpcode::GetKQ) {
-                        resp.key = frame.key.clone();
-                    }
-                }
-                None => {
-                    if frame.opcode.is_quiet() {
-                        quiet_suppress = true; // binary multiget: silent miss
-                    } else {
-                        resp.vbucket_or_status = BinStatus::KeyNotFound as u16;
-                    }
-                }
-            }
-            if let Some(obs) = srv.observatory.as_ref() {
-                let class = (!resp.value.is_empty())
-                    .then(|| store.class_of(frame.key.len(), resp.value.len()))
-                    .flatten();
-                obs.observe_key(&frame.key, false, class);
-            }
-        }
-        BinOpcode::Set | BinOpcode::Add | BinOpcode::Replace => {
-            let Some((flags, exptime)) = mcproto::parse_store_extras(&frame.extras) else {
-                resp.vbucket_or_status = BinStatus::InvalidArgs as u16;
-                drop(store);
+/// The binary edge: decode, execute, encode. `None` for a quiet get's
+/// miss, which stays silent. The store locks drop on return, before the
+/// caller writes.
+async fn serve_bin(srv: &Rc<SrvInner>, mut frame: BinFrame, widx: u32) -> Option<Vec<u8>> {
+    let (frames, _guards) = match bin_request(&mut frame, srv.next_sock_op()) {
+        // Noop and malformed frames touch no store state: answered in queue
+        // order, with no service charge.
+        Err(status) => (vec![BinFrame::response(&frame, status)], Vec::new()),
+        Ok(bin) => {
+            let (mut reply, mut guards) = srv.execute(&bin.req, &bin.data, widx, false).await;
+            if let (RespStatus::NotFound, Some((initial, exptime))) = (reply.hdr.status, bin.create)
+            {
+                // Incr/decr of a missing counter creates it: a follow-up add
+                // of the initial value.
                 guards.clear();
-                srv.tracer.end_detail(
-                    Layer::Core,
-                    "worker_service",
-                    srv.node,
-                    Track::Worker(widx),
-                    op,
-                    0,
-                    srv.sim.now(),
-                );
-                reply_bin(&sock, srv, vec![resp]).await;
-                return;
-            };
-            let outcome = if frame.cas != 0 {
-                store.cas(&frame.key, &frame.value, flags, exptime, frame.cas, now)
-            } else {
-                match frame.opcode {
-                    BinOpcode::Set => store.set(&frame.key, &frame.value, flags, exptime, now),
-                    BinOpcode::Add => store.add(&frame.key, &frame.value, flags, exptime, now),
-                    _ => store.replace(&frame.key, &frame.value, flags, exptime, now),
-                }
-            };
-            resp.vbucket_or_status = bin_status(outcome) as u16;
-            if outcome == SetOutcome::Stored {
-                // Return the fresh CAS, as real servers do.
-                if let Some(v) = store.get(&frame.key, now) {
-                    resp.cas = v.cas;
+                let mut add = ReqHeader::new(McOp::Add, bin.req.req_id, 0, bin.req.keys[0].clone());
+                add.exptime = exptime;
+                let value = initial.to_string().into_bytes();
+                (reply, guards) = srv.execute(&add, &value, widx, false).await;
+                if reply.hdr.status == RespStatus::Stored {
+                    reply.hdr = RespHeader::new(add.req_id, RespStatus::Number);
+                    reply.hdr.number = initial;
                 }
             }
-            if let Some(obs) = srv.observatory.as_ref() {
-                obs.observe_key(
-                    &frame.key,
-                    true,
-                    store.class_of(frame.key.len(), frame.value.len()),
-                );
-            }
+            (bin_response(&frame, &bin.req, reply), guards)
         }
-        BinOpcode::Append | BinOpcode::Prepend => {
-            let outcome = if frame.opcode == BinOpcode::Append {
-                store.append(&frame.key, &frame.value, now)
-            } else {
-                store.prepend(&frame.key, &frame.value, now)
-            };
-            resp.vbucket_or_status = bin_status(outcome) as u16;
-        }
-        BinOpcode::Delete => {
-            if !store.delete(&frame.key, now) {
-                resp.vbucket_or_status = BinStatus::KeyNotFound as u16;
-            }
-        }
-        BinOpcode::Increment | BinOpcode::Decrement => {
-            let Some((delta, initial, exptime)) = mcproto::parse_arith_extras(&frame.extras) else {
-                resp.vbucket_or_status = BinStatus::InvalidArgs as u16;
-                drop(store);
-                guards.clear();
-                srv.tracer.end_detail(
-                    Layer::Core,
-                    "worker_service",
-                    srv.node,
-                    Track::Worker(widx),
-                    op,
-                    0,
-                    srv.sim.now(),
-                );
-                reply_bin(&sock, srv, vec![resp]).await;
-                return;
-            };
-            let up = frame.opcode == BinOpcode::Increment;
-            let result = if up {
-                store.incr(&frame.key, delta, now)
-            } else {
-                store.decr(&frame.key, delta, now)
-            };
-            match result {
-                Ok(n) => resp.value = n.to_be_bytes().to_vec(),
-                Err(NumericError::NotFound) if exptime != u32::MAX => {
-                    // Spec: create with the initial value unless exptime
-                    // is all-ones.
-                    store.set(&frame.key, initial.to_string().as_bytes(), 0, exptime, now);
-                    resp.value = initial.to_be_bytes().to_vec();
-                }
-                Err(NumericError::NotFound) => {
-                    resp.vbucket_or_status = BinStatus::KeyNotFound as u16;
-                }
-                Err(NumericError::NotNumeric) => {
-                    resp.vbucket_or_status = BinStatus::NonNumeric as u16;
-                }
-            }
-        }
-        BinOpcode::Touch => {
-            let exptime = frame
-                .extras
-                .as_slice()
-                .try_into()
-                .ok()
-                .map(u32::from_be_bytes);
-            match exptime {
-                Some(e) if store.touch(&frame.key, e, now) => {}
-                Some(_) => resp.vbucket_or_status = BinStatus::KeyNotFound as u16,
-                None => resp.vbucket_or_status = BinStatus::InvalidArgs as u16,
-            }
-        }
-        BinOpcode::Flush => {
-            // Extras carry the optional delay; anything but exactly 4
-            // bytes means "now".
-            let delay = frame
-                .extras
-                .as_slice()
-                .try_into()
-                .map(u32::from_be_bytes)
-                .unwrap_or(0);
-            store.flush_all(now + delay);
-        }
-        BinOpcode::Noop => {}
-        BinOpcode::Version => {
-            resp.value = SERVER_VERSION.as_bytes().to_vec();
-        }
-        BinOpcode::Stat => {
-            // One frame per statistic, terminated by an empty frame.
-            for line in render_stats(srv, &store).lines() {
-                let mut it = line.splitn(2, ' ');
-                let name = it.next().unwrap_or_default();
-                let value = it.next().unwrap_or_default();
-                let mut f = BinFrame::response(&frame, BinStatus::Ok);
-                f.key = name.as_bytes().to_vec();
-                f.value = value.as_bytes().to_vec();
-                replies.push(f);
-            }
-        }
-        BinOpcode::Quit => return,
-    }
-    drop(store);
-    srv.sync_mirrors();
-    guards.clear();
-    srv.tracer.end_detail(
-        Layer::Core,
-        "worker_service",
-        srv.node,
-        Track::Worker(widx),
-        op,
-        0,
-        srv.sim.now(),
-    );
-    if !quiet_suppress {
-        replies.push(resp);
-        reply_bin(&sock, srv, replies).await;
-    }
-}
-
-async fn reply_bin(sock: &Rc<Socket>, srv: &Rc<SrvInner>, frames: Vec<BinFrame>) {
-    srv.span(|sp| sp.mark_open(Stage::WorkerService, srv.sim.now()));
-    let mut wire = Vec::new();
-    for f in frames {
-        wire.extend_from_slice(&f.encode());
-    }
-    let _ = sock.write_all(&wire).await;
-}
-
-fn bin_status(o: SetOutcome) -> BinStatus {
-    match o {
-        SetOutcome::Stored => BinStatus::Ok,
-        SetOutcome::NotStored => BinStatus::NotStored,
-        SetOutcome::Exists => BinStatus::KeyExists,
-        SetOutcome::NotFound => BinStatus::KeyNotFound,
-        SetOutcome::TooLarge => BinStatus::TooLarge,
-        SetOutcome::OutOfMemory => BinStatus::OutOfMemory,
-    }
+    };
+    (!frames.is_empty()).then(|| frames.iter().flat_map(BinFrame::encode).collect())
 }
 
 /// UDP receive loop: one task per (stack, port). Requests must fit a
@@ -2211,25 +1372,5 @@ async fn udp_receiver(srv: Weak<SrvInner>, sock: Rc<DgramSocket>) {
             request_id: frame.request_id,
             cmd,
         });
-    }
-}
-
-async fn serve_sock_udp(
-    srv: &Rc<SrvInner>,
-    sock: Rc<DgramSocket>,
-    src: socksim::SocketAddr,
-    request_id: u16,
-    cmd: Command,
-    widx: u32,
-) {
-    let op = srv.next_sock_op();
-    let (resp, noreply) = execute_ascii_timed(srv, cmd, widx, op).await;
-    srv.sync_mirrors();
-    if noreply {
-        return;
-    }
-    let wire = encode_response(&resp);
-    for datagram in udp_fragment(request_id, &wire) {
-        let _ = sock.send_to(src, &datagram).await;
     }
 }

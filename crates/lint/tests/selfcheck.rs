@@ -53,7 +53,7 @@ fn interprocedural_pass_sees_the_real_tree() {
     let srv: Vec<_> = s
         .r6_acquisitions
         .iter()
-        .filter(|(f, _, _)| f == "crates/core/src/server.rs")
+        .filter(|(f, _, _)| f == "crates/core/src/server/exec.rs")
         .collect();
     assert!(
         srv.len() >= 2,
