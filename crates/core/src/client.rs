@@ -18,7 +18,8 @@
 
 use std::cell::{Cell, RefCell};
 use std::collections::{HashMap, HashSet, VecDeque};
-use std::pin::Pin;
+use std::future::Future;
+use std::pin::pin;
 use std::rc::Rc;
 
 use mcproto::{
@@ -40,6 +41,7 @@ use crate::am_wire::{
     BYPASS_VERSION_BYTES, MSG_MC_DIR_REQ, MSG_MC_DIR_RESP, MSG_MC_REQ, MSG_MC_RESP,
 };
 use crate::codec::{ascii_command, ascii_reply, frames_reply, request_frames};
+use crate::framing::{FrameReader, ReadError};
 use crate::server::BASE_UNIX_TIME;
 use crate::world::World;
 
@@ -223,6 +225,15 @@ pub enum McError {
     Protocol,
     /// Config has no servers.
     NoServers,
+}
+
+impl From<ReadError> for McError {
+    fn from(e: ReadError) -> McError {
+        match e {
+            ReadError::Closed => McError::Disconnected,
+            ReadError::Malformed => McError::Protocol,
+        }
+    }
 }
 
 impl std::fmt::Display for McError {
@@ -1539,6 +1550,17 @@ impl CliInner {
         );
     }
 
+    /// Awaits a reply within the op timeout.
+    async fn timed<T, E>(&self, reply: impl Future<Output = Result<T, E>>) -> Result<T, McError>
+    where
+        McError: From<E>,
+    {
+        match timeout(&self.sim, self.cfg.op_timeout, pin!(reply)).await {
+            Ok(r) => r.map_err(McError::from),
+            Err(_) => Err(McError::Timeout),
+        }
+    }
+
     /// Runs `f` against the attached span sink, if any.
     fn span(&self, f: impl FnOnce(&LatencySpans)) {
         if let Some(sp) = self.spans.borrow().as_ref() {
@@ -1561,25 +1583,8 @@ impl CliInner {
         // The write has cleared the send path: serialization is done.
         self.span(|sp| sp.mark(span_id, Stage::ClientSerialize, self.sim.now()));
         self.sock_sent_marker(span_id);
-        let sock = sock.clone();
-        let fut: Pin<Box<dyn std::future::Future<Output = Result<Response, McError>>>> =
-            Box::pin(async move {
-                let mut buf = Vec::new();
-                loop {
-                    match parse_response(&buf) {
-                        Ok(Some((resp, _used))) => return Ok(resp),
-                        Ok(None) => match sock.read(64 * 1024).await {
-                            Ok(bytes) => buf.extend_from_slice(&bytes),
-                            Err(_) => return Err(McError::Disconnected),
-                        },
-                        Err(_) => return Err(McError::Protocol),
-                    }
-                }
-            });
-        let out = match timeout(&self.sim, self.cfg.op_timeout, fut).await {
-            Ok(r) => r,
-            Err(_) => Err(McError::Timeout),
-        };
+        let mut reader = FrameReader::default();
+        let out = self.timed(reader.next(sock, parse_response)).await;
         self.close_sock_span(span_id, out.is_ok());
         out
     }
@@ -1665,9 +1670,9 @@ impl CliInner {
     }
 
     /// Pipelined ASCII round trips: writes up to `depth` commands ahead
-    /// of the reads and parses the FIFO responses with a persistent
-    /// buffer (one read may deliver the tail of response N glued to the
-    /// head of response N+1). Per-op latency spans are not recorded —
+    /// of the reads and parses the FIFO responses with one frame reader
+    /// (one read may deliver the tail of response N glued to the head of
+    /// response N+1). Per-op latency spans are not recorded —
     /// overlapping requests have no single wire residence to attribute.
     /// Every failure evicts the connection: the response stream is out of
     /// sync with the writes, so it cannot be reused.
@@ -1678,7 +1683,7 @@ impl CliInner {
         depth: usize,
     ) -> Result<Vec<Response>, McError> {
         let mut out = Vec::with_capacity(cmds.len());
-        let mut buf: Vec<u8> = Vec::new();
+        let mut reader = FrameReader::default();
         let mut sent = 0usize;
         while out.len() < cmds.len() {
             while sent < cmds.len() && sent - out.len() < depth {
@@ -1689,39 +1694,11 @@ impl CliInner {
                 }
                 sent += 1;
             }
-            let sock2 = sock.clone();
-            let carried = std::mem::take(&mut buf);
-            type RespFut<'a> = Pin<
-                Box<dyn std::future::Future<Output = Result<(Response, Vec<u8>), McError>> + 'a>,
-            >;
-            let fut: RespFut<'_> = Box::pin(async move {
-                let mut buf = carried;
-                loop {
-                    match parse_response(&buf) {
-                        Ok(Some((resp, used))) => {
-                            buf.drain(..used);
-                            return Ok((resp, buf));
-                        }
-                        Ok(None) => match sock2.read(64 * 1024).await {
-                            Ok(bytes) => buf.extend_from_slice(&bytes),
-                            Err(_) => return Err(McError::Disconnected),
-                        },
-                        Err(_) => return Err(McError::Protocol),
-                    }
-                }
-            });
-            match timeout(&self.sim, self.cfg.op_timeout, fut).await {
-                Ok(Ok((resp, rest))) => {
-                    buf = rest;
-                    out.push(resp);
-                }
-                Ok(Err(e)) => {
+            match self.timed(reader.next(sock, parse_response)).await {
+                Ok(resp) => out.push(resp),
+                Err(e) => {
                     self.evict_sock(sock);
                     return Err(e);
-                }
-                Err(_) => {
-                    self.evict_sock(sock);
-                    return Err(McError::Timeout);
                 }
             }
         }
@@ -1755,42 +1732,28 @@ impl CliInner {
         self.span(|sp| sp.mark(span_id, Stage::ClientSerialize, self.sim.now()));
         self.sock_sent_marker(span_id);
 
-        let sock = sock.clone();
         let is_stat = op == McOp::Stats;
-        let fut: Pin<Box<dyn std::future::Future<Output = Result<Vec<BinFrame>, McError>>>> =
-            Box::pin(async move {
-                let mut buf = Vec::new();
-                let mut got = Vec::new();
-                loop {
-                    match BinFrame::parse(&buf) {
-                        Ok(Some((frame, used))) => {
-                            buf.drain(..used);
-                            let done = if is_stat {
-                                frame.key.is_empty() && frame.value.is_empty()
-                            } else {
-                                frame.opaque == terminal_opaque
-                            };
-                            got.push(frame);
-                            if done {
-                                return Ok(got);
-                            }
-                        }
-                        Ok(None) => match sock.read(64 * 1024).await {
-                            Ok(bytes) => buf.extend_from_slice(&bytes),
-                            Err(_) => return Err(McError::Disconnected),
-                        },
-                        Err(_) => return Err(McError::Protocol),
-                    }
-                }
-            });
-        let frames = match timeout(&self.sim, self.cfg.op_timeout, fut).await {
-            Ok(Ok(r)) => r,
-            other => {
-                self.close_sock_span(span_id, false);
-                return match other {
-                    Ok(Err(e)) => Err(e),
-                    _ => Err(McError::Timeout),
+        let mut reader = FrameReader::default();
+        let frames = self.timed(async {
+            let mut got = Vec::new();
+            loop {
+                let frame = reader.next(sock, BinFrame::parse).await?;
+                let done = if is_stat {
+                    frame.key.is_empty() && frame.value.is_empty()
+                } else {
+                    frame.opaque == terminal_opaque
                 };
+                got.push(frame);
+                if done {
+                    return Ok::<_, ReadError>(got);
+                }
+            }
+        });
+        let frames = match frames.await {
+            Ok(frames) => frames,
+            Err(e) => {
+                self.close_sock_span(span_id, false);
+                return Err(e);
             }
         };
         self.close_sock_span(span_id, true);
@@ -1819,32 +1782,26 @@ impl CliInner {
                 .await
                 .map_err(|_| McError::Disconnected)?;
         }
-        let sock = sock.clone();
-        let fut: Pin<Box<dyn std::future::Future<Output = Result<Response, McError>>>> =
-            Box::pin(async move {
-                let mut frames: Vec<(UdpFrame, Vec<u8>)> = Vec::new();
-                loop {
-                    let (_, datagram) =
-                        sock.recv_from().await.map_err(|_| McError::Disconnected)?;
-                    let Ok((frame, payload)) = UdpFrame::decode(&datagram) else {
-                        continue;
-                    };
-                    if frame.request_id != req_id {
-                        continue; // stale response from a timed-out request
-                    }
-                    frames.push((frame, payload.to_vec()));
-                    if let Some(whole) = mcproto::udp_reassemble(req_id, &frames) {
-                        return match parse_response(&whole) {
-                            Ok(Some((resp, _))) => Ok(resp),
-                            _ => Err(McError::Protocol),
-                        };
-                    }
+        self.timed(async {
+            let mut frames: Vec<(UdpFrame, Vec<u8>)> = Vec::new();
+            loop {
+                let (_, datagram) = sock.recv_from().await.map_err(|_| McError::Disconnected)?;
+                let Ok((frame, payload)) = UdpFrame::decode(&datagram) else {
+                    continue;
+                };
+                if frame.request_id != req_id {
+                    continue; // stale response from a timed-out request
                 }
-            });
-        match timeout(&self.sim, self.cfg.op_timeout, fut).await {
-            Ok(r) => r,
-            Err(_) => Err(McError::Timeout),
-        }
+                frames.push((frame, payload.to_vec()));
+                if let Some(whole) = mcproto::udp_reassemble(req_id, &frames) {
+                    return match parse_response(&whole) {
+                        Ok(Some((resp, _))) => Ok(resp),
+                        _ => Err(McError::Protocol),
+                    };
+                }
+            }
+        })
+        .await
     }
 }
 

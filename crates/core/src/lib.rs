@@ -34,6 +34,7 @@
 mod am_wire;
 mod client;
 mod codec;
+mod framing;
 mod observatory;
 mod server;
 mod world;

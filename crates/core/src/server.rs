@@ -46,6 +46,7 @@ use crate::am_wire::{
     MSG_MC_DIR_RESP, MSG_MC_REQ, MSG_MC_RESP,
 };
 use crate::codec::{ascii_request, ascii_response, bin_request, bin_response};
+use crate::framing::{FrameReader, ReadError};
 use crate::observatory::{ObservatoryConfig, WorkloadObservatory};
 use crate::world::World;
 
@@ -1214,55 +1215,52 @@ fn render_stats(srv: &SrvInner, store: &SegmentedStore) -> String {
 // Sockets edges: ASCII (TCP, UDP) and binary codecs around the executor
 // ---------------------------------------------------------------------
 
-/// Per-connection event task: reads, frames commands, and hands them to
+/// Per-connection event task: reads, frames requests, and hands them to
 /// the connection's worker (the libevent notification of the original
-/// architecture).
+/// architecture). The first byte picks the connection's protocol: the
+/// binary request magic cannot start an ASCII command.
 async fn conn_reader(srv: Weak<SrvInner>, sock: Rc<Socket>, widx: usize) {
-    let mut buf: Vec<u8> = Vec::new();
-    // Protocol sniffing: the binary request magic cannot start an ASCII
-    // command, so the first byte decides the connection's protocol.
+    let mut reader = FrameReader::default();
+    let sniff = |b: &[u8]| Ok(b.first().map(|&m| (m == MAGIC_REQUEST, 0)));
+    let Ok(binary) = reader.next(&sock, sniff).await else {
+        return;
+    };
     loop {
-        if buf.is_empty() {
-            match sock.read(64 * 1024).await {
-                Ok(bytes) => buf.extend_from_slice(&bytes),
-                Err(_) => return,
-            }
-        }
-        if !buf.is_empty() {
-            break;
-        }
-    }
-    if buf[0] == MAGIC_REQUEST {
-        return conn_reader_bin(srv, sock, widx, buf).await;
-    }
-    loop {
-        match parse_command(&buf) {
-            Ok(Some((cmd, used))) => {
-                buf.drain(..used);
-                let Some(inner) = srv.upgrade() else { return };
-                if !inner.running.get() {
-                    sock.close();
-                    return;
-                }
-                if matches!(cmd, Command::Quit) {
-                    sock.close();
-                    return;
-                }
+        // `None` is a quit.
+        let next = if binary {
+            reader.next(&sock, BinFrame::parse).await.map(|frame| {
                 let sock = sock.clone();
-                inner.queue_stream_request(widx, WorkItem::Sock { sock, cmd });
-            }
-            Ok(None) => match sock.read(64 * 1024).await {
-                Ok(bytes) => buf.extend_from_slice(&bytes),
-                Err(_) => return, // connection closed
-            },
-            Err(_) => {
-                // Protocol error: answer and drop the connection, as
-                // memcached does.
-                let _ = sock.write_all(&encode_response(&Response::Error)).await;
+                (frame.opcode != BinOpcode::Quit).then_some(WorkItem::SockBin { sock, frame })
+            })
+        } else {
+            reader.next(&sock, parse_command).await.map(|cmd| {
+                let sock = sock.clone();
+                (!matches!(cmd, Command::Quit)).then_some(WorkItem::Sock { sock, cmd })
+            })
+        };
+        let item = match next {
+            Ok(item) => item,
+            Err(ReadError::Closed) => return,
+            Err(ReadError::Malformed) => {
+                // Protocol error: drop the connection, as memcached does;
+                // an ASCII client is answered `ERROR` first.
+                if !binary {
+                    let _ = sock.write_all(&encode_response(&Response::Error)).await;
+                }
                 sock.close();
                 return;
             }
+        };
+        let Some(inner) = srv.upgrade() else { return };
+        if !inner.running.get() {
+            sock.close();
+            return;
         }
+        let Some(item) = item else {
+            sock.close();
+            return;
+        };
+        inner.queue_stream_request(widx, item);
     }
 }
 
@@ -1274,36 +1272,6 @@ async fn serve_ascii(srv: &Rc<SrvInner>, cmd: Command, widx: u32) -> Option<Vec<
     let (reply, _guards) = srv.execute(&ascii.req, &ascii.data, widx, false).await;
     let resp = ascii_response(&ascii.req, ascii.with_cas, reply);
     (!ascii.noreply).then(|| encode_response(&resp))
-}
-
-/// Binary-protocol connection loop (frames instead of lines).
-async fn conn_reader_bin(srv: Weak<SrvInner>, sock: Rc<Socket>, widx: usize, mut buf: Vec<u8>) {
-    loop {
-        match BinFrame::parse(&buf) {
-            Ok(Some((frame, used))) => {
-                buf.drain(..used);
-                let Some(inner) = srv.upgrade() else { return };
-                if !inner.running.get() {
-                    sock.close();
-                    return;
-                }
-                if frame.opcode == BinOpcode::Quit {
-                    sock.close();
-                    return;
-                }
-                let sock = sock.clone();
-                inner.queue_stream_request(widx, WorkItem::SockBin { sock, frame });
-            }
-            Ok(None) => match sock.read(64 * 1024).await {
-                Ok(bytes) => buf.extend_from_slice(&bytes),
-                Err(_) => return,
-            },
-            Err(_) => {
-                sock.close();
-                return;
-            }
-        }
-    }
 }
 
 /// The binary edge: decode, execute, encode. `None` for a quiet get's

@@ -1,5 +1,7 @@
 //! Request-side framing: parse (server) and encode (client).
 
+use std::io::Write;
+
 use crate::{take_line, ProtoError, CRLF};
 
 /// The five storage verbs sharing the `<verb> <key> <flags> <exptime>
@@ -317,9 +319,26 @@ pub fn parse_command(buf: &[u8]) -> Result<Option<(Command, usize)>, ProtoError>
     }
 }
 
-/// Encodes a command to the wire (client side).
+/// Bytes a command line may need besides its key(s), stats argument and
+/// data: the longest verb, separators, four decimal numbers (two `u32`,
+/// two `u64`), ` noreply` and two CRLFs.
+const COMMAND_TEXT_MAX: usize = 96;
+
+/// Encodes a command to the wire (client side), sized once up front.
 pub fn encode_command(cmd: &Command) -> Vec<u8> {
-    let mut out = Vec::new();
+    let bytes = match cmd {
+        Command::Store { key, data, .. } | Command::Cas { key, data, .. } => key.len() + data.len(),
+        Command::Get { keys } | Command::Gets { keys } => keys.iter().map(|k| 1 + k.len()).sum(),
+        Command::Delete { key, .. }
+        | Command::Incr { key, .. }
+        | Command::Decr { key, .. }
+        | Command::Touch { key, .. } => key.len(),
+        Command::Stats { arg } => arg.as_ref().map_or(0, Vec::len),
+        Command::FlushAll { .. } | Command::Version | Command::Quit => 0,
+    };
+    let cap = COMMAND_TEXT_MAX + bytes;
+    let mut out = Vec::with_capacity(cap);
+    // Writes into a `Vec` cannot fail.
     match cmd {
         Command::Store {
             verb,
@@ -332,15 +351,13 @@ pub fn encode_command(cmd: &Command) -> Vec<u8> {
             out.extend_from_slice(verb.name().as_bytes());
             out.push(b' ');
             out.extend_from_slice(key);
-            out.extend_from_slice(
-                format!(
-                    " {} {} {}{}",
-                    flags,
-                    exptime,
-                    data.len(),
-                    reply_suffix(*noreply)
-                )
-                .as_bytes(),
+            let _ = write!(
+                out,
+                " {} {} {}{}",
+                flags,
+                exptime,
+                data.len(),
+                reply_suffix(*noreply)
             );
             out.extend_from_slice(CRLF);
             out.extend_from_slice(data);
@@ -356,16 +373,14 @@ pub fn encode_command(cmd: &Command) -> Vec<u8> {
         } => {
             out.extend_from_slice(b"cas ");
             out.extend_from_slice(key);
-            out.extend_from_slice(
-                format!(
-                    " {} {} {} {}{}",
-                    flags,
-                    exptime,
-                    data.len(),
-                    cas,
-                    reply_suffix(*noreply)
-                )
-                .as_bytes(),
+            let _ = write!(
+                out,
+                " {} {} {} {}{}",
+                flags,
+                exptime,
+                data.len(),
+                cas,
+                reply_suffix(*noreply)
             );
             out.extend_from_slice(CRLF);
             out.extend_from_slice(data);
@@ -405,7 +420,7 @@ pub fn encode_command(cmd: &Command) -> Vec<u8> {
                 b"decr " as &[u8]
             });
             out.extend_from_slice(key);
-            out.extend_from_slice(format!(" {}{}", delta, reply_suffix(*noreply)).as_bytes());
+            let _ = write!(out, " {}{}", delta, reply_suffix(*noreply));
             out.extend_from_slice(CRLF);
         }
         Command::Touch {
@@ -415,13 +430,13 @@ pub fn encode_command(cmd: &Command) -> Vec<u8> {
         } => {
             out.extend_from_slice(b"touch ");
             out.extend_from_slice(key);
-            out.extend_from_slice(format!(" {}{}", exptime, reply_suffix(*noreply)).as_bytes());
+            let _ = write!(out, " {}{}", exptime, reply_suffix(*noreply));
             out.extend_from_slice(CRLF);
         }
         Command::FlushAll { delay, noreply } => {
             out.extend_from_slice(b"flush_all");
             if *delay > 0 {
-                out.extend_from_slice(format!(" {delay}").as_bytes());
+                let _ = write!(out, " {delay}");
             }
             out.extend_from_slice(reply_suffix(*noreply).as_bytes());
             out.extend_from_slice(CRLF);
@@ -437,6 +452,7 @@ pub fn encode_command(cmd: &Command) -> Vec<u8> {
         Command::Version => out.extend_from_slice(b"version\r\n"),
         Command::Quit => out.extend_from_slice(b"quit\r\n"),
     }
+    debug_assert!(out.len() <= cap, "command outgrew its sizing");
     out
 }
 

@@ -1,5 +1,7 @@
 //! Response-side framing: encode (server) and parse (client).
 
+use std::io::Write;
+
 use crate::{take_line, ProtoError, CRLF};
 
 /// One `VALUE` stanza of a get/gets response.
@@ -48,9 +50,31 @@ pub enum Response {
     ServerError(String),
 }
 
-/// Encodes a response to the wire (server side).
+/// Bytes a `VALUE` stanza may need besides its key and data: `VALUE `,
+/// separators, flags (`u32`), length and cas token (`u64`), two CRLFs.
+const VALUE_TEXT_MAX: usize = 64;
+
+/// Bytes any other response line may need besides its message or stat
+/// name and value: the longest fixed text (`SERVER_ERROR `, `STAT  `), a
+/// `u64` and a CRLF.
+const LINE_TEXT_MAX: usize = 24;
+
+/// Encodes a response to the wire (server side), sized once up front.
 pub fn encode_response(resp: &Response) -> Vec<u8> {
-    let mut out = Vec::new();
+    let cap = match resp {
+        Response::Values(values) => values
+            .iter()
+            .map(|v| VALUE_TEXT_MAX + v.key.len() + v.data.len())
+            .sum(),
+        Response::Stats(stats) => stats
+            .iter()
+            .map(|(k, v)| LINE_TEXT_MAX + k.len() + v.len())
+            .sum(),
+        Response::Version(m) | Response::ClientError(m) | Response::ServerError(m) => m.len(),
+        _ => 0,
+    } + LINE_TEXT_MAX;
+    let mut out = Vec::with_capacity(cap);
+    // Writes into a `Vec` cannot fail.
     match resp {
         Response::Stored => out.extend_from_slice(b"STORED\r\n"),
         Response::NotStored => out.extend_from_slice(b"NOT_STORED\r\n"),
@@ -62,37 +86,38 @@ pub fn encode_response(resp: &Response) -> Vec<u8> {
             for v in values {
                 out.extend_from_slice(b"VALUE ");
                 out.extend_from_slice(&v.key);
-                match v.cas {
-                    Some(cas) => out.extend_from_slice(
-                        format!(" {} {} {}", v.flags, v.data.len(), cas).as_bytes(),
-                    ),
-                    None => {
-                        out.extend_from_slice(format!(" {} {}", v.flags, v.data.len()).as_bytes())
-                    }
-                }
+                let _ = match v.cas {
+                    Some(cas) => write!(out, " {} {} {}", v.flags, v.data.len(), cas),
+                    None => write!(out, " {} {}", v.flags, v.data.len()),
+                };
                 out.extend_from_slice(CRLF);
                 out.extend_from_slice(&v.data);
                 out.extend_from_slice(CRLF);
             }
             out.extend_from_slice(b"END\r\n");
         }
-        Response::Number(n) => out.extend_from_slice(format!("{n}\r\n").as_bytes()),
+        Response::Number(n) => {
+            let _ = write!(out, "{n}\r\n");
+        }
         Response::Stats(stats) => {
             for (k, v) in stats {
-                out.extend_from_slice(format!("STAT {k} {v}\r\n").as_bytes());
+                let _ = write!(out, "STAT {k} {v}\r\n");
             }
             out.extend_from_slice(b"END\r\n");
         }
         Response::Ok => out.extend_from_slice(b"OK\r\n"),
-        Response::Version(v) => out.extend_from_slice(format!("VERSION {v}\r\n").as_bytes()),
+        Response::Version(v) => {
+            let _ = write!(out, "VERSION {v}\r\n");
+        }
         Response::Error => out.extend_from_slice(b"ERROR\r\n"),
         Response::ClientError(m) => {
-            out.extend_from_slice(format!("CLIENT_ERROR {m}\r\n").as_bytes())
+            let _ = write!(out, "CLIENT_ERROR {m}\r\n");
         }
         Response::ServerError(m) => {
-            out.extend_from_slice(format!("SERVER_ERROR {m}\r\n").as_bytes())
+            let _ = write!(out, "SERVER_ERROR {m}\r\n");
         }
     }
+    debug_assert!(out.len() <= cap, "response outgrew its sizing");
     out
 }
 

@@ -59,9 +59,64 @@ pub struct SocketAddr {
     pub port: u16,
 }
 
+/// The bytes of one stream direction, kept as the owned chunks the writes
+/// delivered. A write's payload moves in whole; a read moves a front chunk
+/// out whole when it is exactly the bytes taken, and gathers the bytes with
+/// slice copies otherwise.
+#[derive(Default)]
+pub(crate) struct ChunkQueue {
+    chunks: VecDeque<Vec<u8>>,
+    /// Bytes of the front chunk already taken.
+    head: usize,
+    /// Bytes queued, not yet taken.
+    len: usize,
+}
+
+impl ChunkQueue {
+    /// Appends a chunk. An empty one adds nothing.
+    pub(crate) fn push(&mut self, chunk: Vec<u8>) {
+        if !chunk.is_empty() {
+            self.len += chunk.len();
+            self.chunks.push_back(chunk);
+        }
+    }
+
+    /// Takes the first `min(len, max)` bytes, across chunk boundaries.
+    pub(crate) fn take(&mut self, max: usize) -> Vec<u8> {
+        let n = self.len.min(max);
+        self.len -= n;
+        if self.head == 0 && self.chunks.front().is_some_and(|c| c.len() == n) {
+            return self.chunks.pop_front().unwrap_or_default();
+        }
+        let mut out = Vec::with_capacity(n);
+        while out.len() < n {
+            let Some(front) = self.chunks.front() else {
+                break;
+            };
+            let k = (front.len() - self.head).min(n - out.len());
+            out.extend_from_slice(&front[self.head..self.head + k]);
+            self.head += k;
+            if self.head == front.len() {
+                self.chunks.pop_front();
+                self.head = 0;
+            }
+        }
+        out
+    }
+
+    /// Bytes queued.
+    pub(crate) fn len(&self) -> usize {
+        self.len
+    }
+
+    pub(crate) fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+}
+
 /// Per-direction receive buffer (lives at the receiving endpoint).
 pub(crate) struct RecvBuf {
-    pub data: RefCell<VecDeque<u8>>,
+    pub data: RefCell<ChunkQueue>,
     pub notify: Rc<Notify>,
     pub closed: Cell<bool>,
     /// Latest scheduled delivery instant: keeps the byte stream in order
@@ -72,15 +127,20 @@ pub(crate) struct RecvBuf {
 impl RecvBuf {
     pub(crate) fn new() -> Rc<RecvBuf> {
         Rc::new(RecvBuf {
-            data: RefCell::new(VecDeque::new()),
+            data: RefCell::new(ChunkQueue::default()),
             notify: Rc::new(Notify::new()),
             closed: Cell::new(false),
             last_delivery: Cell::new(simnet::SimTime::ZERO),
         })
     }
 
-    pub(crate) fn push(&self, bytes: &[u8]) {
-        self.data.borrow_mut().extend(bytes.iter().copied());
+    /// Queues a delivered payload and wakes the reader. An empty payload
+    /// is no data, so it wakes nobody.
+    pub(crate) fn push(&self, bytes: Vec<u8>) {
+        if bytes.is_empty() {
+            return;
+        }
+        self.data.borrow_mut().push(bytes);
         self.notify.notify_all();
     }
 
@@ -208,7 +268,7 @@ impl Socket {
                 peer_rx.last_delivery.set(ready);
                 sim2.clone().schedule_at(ready, move || {
                     if !peer_rx.closed.get() {
-                        peer_rx.push(&payload);
+                        peer_rx.push(payload);
                     }
                 });
             },
@@ -227,12 +287,7 @@ impl Socket {
             }
             let taken = {
                 let mut data = self.rx.data.borrow_mut();
-                if data.is_empty() {
-                    None
-                } else {
-                    let n = data.len().min(max);
-                    Some(data.drain(..n).collect::<Vec<u8>>())
-                }
+                (!data.is_empty()).then(|| data.take(max))
             };
             if let Some(out) = taken {
                 // Reader wakeup + copy-out.
@@ -252,7 +307,10 @@ impl Socket {
 
     /// Reads exactly `n` bytes (looping over [`read`](Socket::read)).
     pub async fn read_exact(&self, n: usize) -> Result<Vec<u8>, SockError> {
-        let mut out = Vec::with_capacity(n);
+        if n == 0 {
+            return Ok(Vec::new());
+        }
+        let mut out = self.read(n).await?;
         while out.len() < n {
             let chunk = self.read(n - out.len()).await?;
             out.extend_from_slice(&chunk);
@@ -288,5 +346,57 @@ impl fmt::Debug for Socket {
             .field("local", &self.local)
             .field("peer", &self.peer)
             .finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::collections::VecDeque;
+
+    use proptest::prelude::*;
+
+    use super::ChunkQueue;
+
+    /// One step: `(true, n)` pushes an `n`-byte chunk, `(false, n)` takes up
+    /// to `n` bytes.
+    fn step() -> impl Strategy<Value = (bool, usize)> {
+        prop_oneof![
+            (Just(true), 0usize..70 * 1024 + 1),
+            (Just(true), 0usize..3),
+            (Just(false), 1usize..128 * 1024 + 1),
+            (Just(false), 1usize..8),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The chunk queue is a byte FIFO: every take returns the bytes and
+        /// length a `VecDeque<u8>` returns for the same pushes and takes.
+        #[test]
+        fn chunk_queue_matches_a_byte_queue(steps in proptest::collection::vec(step(), 1..40)) {
+            let mut queue = ChunkQueue::default();
+            let mut model: VecDeque<u8> = VecDeque::new();
+            let mut next = 0u32;
+            for (push, n) in steps {
+                if push {
+                    let chunk: Vec<u8> = (0..n)
+                        .map(|_| {
+                            next = next.wrapping_add(1);
+                            (next % 251) as u8
+                        })
+                        .collect();
+                    model.extend(chunk.iter().copied());
+                    queue.push(chunk);
+                } else {
+                    let want: Vec<u8> = model.drain(..model.len().min(n)).collect();
+                    let got = queue.take(n);
+                    prop_assert_eq!(got.len(), want.len());
+                    prop_assert!(got == want, "take({}) returned different bytes", n);
+                }
+                prop_assert_eq!(queue.len(), model.len());
+                prop_assert_eq!(queue.is_empty(), model.is_empty());
+            }
+        }
     }
 }

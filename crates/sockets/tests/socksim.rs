@@ -341,6 +341,85 @@ fn partial_reads_drain_the_stream() {
     });
 }
 
+/// The read contract the virtual schedule depends on: every `read` returns
+/// `min(available, max)` bytes, across write boundaries, and charges one
+/// `app_recv`; an empty write carries no data and wakes no reader. The
+/// final clock is pinned, so a change in how many reads happen or what
+/// each one costs fails here.
+#[test]
+fn reads_take_min_of_available_and_max_across_writes() {
+    let (cluster, fabric) = fabric_a();
+    let sim = cluster.sim().clone();
+    let stack = Stack::TenGigEToe;
+    let app_recv = cluster.profile().socket_stack(stack).unwrap().app_recv;
+    let end = sim.block_on(async move {
+        let sim = fabric.cluster().sim().clone();
+        let listener = fabric.listen(stack, SERVER.node, SERVER.port).unwrap();
+        let accepted = sim.spawn(async move { listener.accept().await.unwrap() });
+        let client = Rc::new(
+            fabric
+                .connect(stack, NodeId(0), SERVER, DEFAULT_CONNECT_TIMEOUT)
+                .await
+                .unwrap(),
+        );
+        client.set_nodelay(true);
+        let server = accepted.await;
+        let msg: Vec<u8> = (0..1000u32).map(|i| (i % 251) as u8).collect();
+
+        // Three writes of different sizes and an empty one land before the
+        // first read.
+        client.write_all(&msg[..100]).await.unwrap();
+        client.write_all(&msg[100..400]).await.unwrap();
+        client.write_all(&[]).await.unwrap();
+        client.write_all(&msg[400..]).await.unwrap();
+        sim.sleep(SimDuration::from_millis(1)).await;
+        assert_eq!(server.available(), 1000);
+        let start = sim.now();
+        // Spans the first boundary, stays inside the second write, then
+        // drains the second and third together.
+        assert_eq!(server.read(150).await.unwrap(), msg[..150]);
+        assert_eq!(server.available(), 850);
+        assert_eq!(server.read(50).await.unwrap(), msg[150..200]);
+        assert_eq!(server.read(10_000).await.unwrap(), msg[200..]);
+        assert_eq!(server.available(), 0);
+        assert_eq!(sim.now() - start, app_recv * 3, "one app_recv per read");
+
+        // A write split across reads: `read_exact` takes the first 300
+        // bytes, waits out an empty write, and gathers the last 400.
+        client.write_all(&msg[..300]).await.unwrap();
+        sim.sleep(SimDuration::from_millis(1)).await;
+        let writer = client.clone();
+        let tail = msg[300..700].to_vec();
+        let sim2 = sim.clone();
+        sim.spawn(async move {
+            writer.write_all(&[]).await.unwrap();
+            sim2.sleep(SimDuration::from_millis(1)).await;
+            writer.write_all(&tail).await.unwrap();
+        });
+        assert_eq!(server.read_exact(700).await.unwrap(), msg[..700]);
+
+        // A reader parked on an empty write is not woken with an empty
+        // buffer: it returns the next real bytes.
+        let writer = client.clone();
+        let sim2 = sim.clone();
+        sim.spawn(async move {
+            writer.write_all(&[]).await.unwrap();
+            sim2.sleep(SimDuration::from_millis(1)).await;
+            writer.write_all(b"tail!").await.unwrap();
+        });
+        let parked = sim.now();
+        assert_eq!(server.read(1000).await.unwrap(), b"tail!");
+        assert!(sim.now() - parked > SimDuration::from_millis(1));
+        assert_eq!(server.available(), 0);
+        sim.now()
+    });
+    assert_eq!(
+        end.as_nanos(),
+        4_058_599,
+        "virtual clock at the end of the script"
+    );
+}
+
 #[test]
 fn bidirectional_traffic_does_not_interfere() {
     let (cluster, fabric) = fabric_a();
