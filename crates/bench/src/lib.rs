@@ -21,8 +21,8 @@ use std::rc::Rc;
 pub mod json_out;
 
 use rmc::{McClient, McClientConfig, McError, McServer, McServerConfig, Transport, World};
-use simnet::metrics::{Histogram, LatencySpans, Stage, STAGE_COUNT};
-use simnet::{NodeId, SimDuration, Stack};
+use simnet::metrics::Histogram;
+use simnet::{NodeId, PathStage, Profiler, ProfilerConfig, SimDuration, Stack, PATH_STAGE_COUNT};
 
 /// Which testbed to instantiate.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -129,14 +129,15 @@ pub fn measure_latency(
     iters: u32,
     seed: u64,
 ) -> f64 {
-    run_latency(cluster, transport, mix, size, iters, seed, None)
+    run_latency(cluster, transport, mix, size, iters, seed, false).0
 }
 
 /// The shared latency loop behind [`measure_latency`] and
-/// [`measure_latency_attributed`]. When `spans` is given it is attached
-/// to both ends *after* the warm-up pass, so the recorded breakdown
-/// covers exactly the timed operations; spans add no virtual time, so
-/// the measured mean is identical either way.
+/// [`measure_latency_attributed`]. With `profile`, the tracer runs in
+/// detail mode from the start (clients seed their request ids from it)
+/// and a [`Profiler`] subscribes *after* the warm-up pass, so its
+/// critical paths cover exactly the timed operations. Profiling adds no
+/// virtual time, so the measured mean is identical either way.
 fn run_latency(
     cluster: ClusterKind,
     transport: Transport,
@@ -144,10 +145,14 @@ fn run_latency(
     size: usize,
     iters: u32,
     seed: u64,
-    spans: Option<Rc<LatencySpans>>,
-) -> f64 {
+    profile: bool,
+) -> (f64, Option<Rc<Profiler>>) {
     let world = cluster.world(seed, 4);
-    let server = McServer::start(&world, NodeId(0), McServerConfig::default());
+    let tracer = world.cluster.tracer().clone();
+    if profile {
+        tracer.set_detail(true);
+    }
+    let _server = McServer::start(&world, NodeId(0), McServerConfig::default());
     let client = McClient::new(
         &world,
         NodeId(1),
@@ -161,10 +166,7 @@ fn run_latency(
         // Warm up: establish the connection and populate the item.
         client.set(key, &value, 0, 0).await.expect("warm-up set");
         client.get(key).await.expect("warm-up get");
-        if let Some(sp) = spans {
-            client.attach_spans(Some(sp.clone()));
-            server.attach_spans(Some(sp));
-        }
+        let profiler = profile.then(|| Profiler::attach(&tracer, ProfilerConfig::default()));
 
         let t0 = sim2.now();
         let mut ops = 0u32;
@@ -199,53 +201,58 @@ fn run_latency(
             }
         }
         let elapsed = sim2.now() - t0;
-        elapsed.as_micros_f64() / ops as f64
+        (elapsed.as_micros_f64() / ops as f64, profiler)
     })
 }
 
 /// Per-stage latency attribution of one measurement run (the paper's
-/// §VI-D decomposition, produced by [`measure_latency_attributed`]).
+/// §VI-D decomposition, produced by [`measure_latency_attributed`] from
+/// the profiler's critical paths).
 #[derive(Clone, Debug)]
 pub struct AttributedLatency {
     /// End-to-end mean latency, microseconds — computed exactly as
     /// [`measure_latency`] computes it (elapsed / ops).
     pub mean_us: f64,
-    /// Mean time in each pipeline stage, microseconds, in
-    /// [`Stage::ALL`] order.
-    pub stage_means_us: [f64; STAGE_COUNT],
-    /// Sum of the stage means — equals the end-to-end mean recorded by
-    /// the spans (the attribution invariant).
-    pub attributed_mean_us: f64,
-    /// Operations with a complete recorded span.
+    /// Time attributed to each stage over all timed operations,
+    /// nanoseconds, indexed by [`PathStage::index`].
+    pub stage_total_ns: [u64; PATH_STAGE_COUNT],
+    /// End-to-end time over all timed operations, nanoseconds. Equals
+    /// the stage totals' sum when the residual is zero.
+    pub e2e_total_ns: u64,
+    /// Mean absolute unattributed residual per operation, microseconds.
+    pub residual_us: f64,
+    /// Operations whose `Σ stages + residual == end-to-end` identity
+    /// failed (always 0; the profiler audit proves its bookkeeping).
+    pub inexact_ops: u64,
+    /// Operations with a completed critical path.
     pub ops_attributed: u64,
 }
 
 impl AttributedLatency {
     /// Mean time in `stage`, microseconds.
-    pub fn stage_us(&self, stage: Stage) -> f64 {
-        self.stage_means_us[stage as usize]
+    pub fn stage_us(&self, stage: PathStage) -> f64 {
+        self.per_op_us(self.stage_total_ns[stage.index()])
     }
 
-    /// Renders the breakdown as an aligned table.
-    pub fn render(&self, title: &str) -> String {
-        let mut out = format!("{title}\n");
-        for stage in Stage::ALL {
-            out.push_str(&format!(
-                "{:>18} {:>9.3} us\n",
-                stage.label(),
-                self.stage_us(stage)
-            ));
+    /// Sum of the stage means, microseconds — the end-to-end mean as the
+    /// profiler attributes it.
+    pub fn attributed_mean_us(&self) -> f64 {
+        PathStage::ALL.iter().map(|&s| self.stage_us(s)).sum()
+    }
+
+    fn per_op_us(&self, total_ns: u64) -> f64 {
+        if self.ops_attributed == 0 {
+            return 0.0;
         }
-        out.push_str(&format!("{:>18} {:>9.3} us\n", "end_to_end", self.mean_us));
-        out
+        total_ns as f64 / self.ops_attributed as f64 / 1_000.0
     }
 }
 
 /// Like [`measure_latency`], but also records where each operation's time
-/// went: the span sink is attached to both client and server after warm-up
-/// and every timed operation's stage breakdown is recorded. The returned
-/// breakdown sums to the measured end-to-end mean (within integer-ns
-/// rounding) — the cross-layer invariant `tests/attribution.rs` checks.
+/// went: a [`Profiler`] decomposes every timed operation's critical path
+/// into [`PathStage`]s. The stage totals sum to the end-to-end total to
+/// the nanosecond (zero residual) and the mean is bit-identical to
+/// [`measure_latency`]'s — the invariants `tests/attribution.rs` checks.
 pub fn measure_latency_attributed(
     cluster: ClusterKind,
     transport: Transport,
@@ -254,21 +261,16 @@ pub fn measure_latency_attributed(
     iters: u32,
     seed: u64,
 ) -> AttributedLatency {
-    let spans = LatencySpans::new();
-    let mean_us = run_latency(
-        cluster,
-        transport,
-        mix,
-        size,
-        iters,
-        seed,
-        Some(spans.clone()),
-    );
+    let (mean_us, profiler) = run_latency(cluster, transport, mix, size, iters, seed, true);
+    let p = profiler.expect("profiled run");
+    let audit = p.audit();
     AttributedLatency {
         mean_us,
-        stage_means_us: spans.stage_means_us(),
-        attributed_mean_us: spans.sum_of_stage_means_us(),
-        ops_attributed: spans.completed(),
+        stage_total_ns: PathStage::ALL.map(|s| p.stage_total(s).as_nanos()),
+        e2e_total_ns: p.e2e_total().as_nanos(),
+        residual_us: audit.residual_abs_total.as_micros_f64() / audit.ops.max(1) as f64,
+        inexact_ops: audit.inexact_ops,
+        ops_attributed: audit.ops,
     }
 }
 

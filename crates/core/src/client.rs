@@ -27,7 +27,6 @@ use mcproto::{
     UDP_CHUNK_BYTES,
 };
 use mcstore::Value;
-use simnet::metrics::{LatencySpans, Stage};
 use simnet::sync::timeout;
 use simnet::trace::{Layer, Track};
 use simnet::{NodeId, Sim, SimDuration, Stack, Tracer};
@@ -333,18 +332,13 @@ impl Drop for UcrInFlight {
         }
         // Abandoned mid-flight: claim the parked response if it already
         // landed, otherwise flag the id so the handler drops the response
-        // on arrival, and close the op's latency span and trace span.
+        // on arrival, and close the op's trace span.
         if self.cli.pending.borrow_mut().remove(&self.req_id).is_none() {
             self.cli.cancelled.borrow_mut().insert(self.req_id);
         }
-        self.cli.span(|sp| sp.discard(self.req_id));
         self.cli.end_op(self.req_id, 0);
     }
 }
-
-/// Shared slot holding the (optional) latency-attribution sink, so the
-/// UCR response handler closure can see spans attached after setup.
-type SpanSlot = Rc<RefCell<Option<Rc<LatencySpans>>>>;
 
 enum Conn {
     Ucr(Endpoint),
@@ -368,8 +362,6 @@ struct CliInner {
     ring: Vec<(u32, usize)>,
     /// Operations issued (diagnostics).
     ops: Cell<u64>,
-    /// Latency-attribution sink, when attached (adds no virtual time).
-    spans: SpanSlot,
     /// Cross-layer event tracer (cluster-wide; adds no virtual time).
     tracer: Rc<Tracer>,
     /// Live pipelined-window occupancy (`client.nodeN.inflight`); the
@@ -421,7 +413,6 @@ impl McClient {
         let pending: PendingResponses = Rc::new(RefCell::new(HashMap::new()));
         let cancelled: CancelledIds = Rc::new(RefCell::new(HashSet::new()));
         let dir_pending: PendingDirResponses = Rc::new(RefCell::new(HashMap::new()));
-        let spans: SpanSlot = Rc::new(RefCell::new(None));
         // Resolve the RDMA fabric first: asking for RoCE on a cluster
         // whose Ethernet adapters lack it leaves `ucr` unset, and every
         // operation then fails with `McError::Disconnected` — the same
@@ -437,7 +428,6 @@ impl McClient {
                 let rt = UcrRuntime::new(fabric, node);
                 let pending2 = pending.clone();
                 let cancelled2 = cancelled.clone();
-                let spans2 = spans.clone();
                 let sim2 = world.sim().clone();
                 let tracer2 = tracer.clone();
                 rt.register_handler(
@@ -449,10 +439,6 @@ impl McClient {
                                 // timed-out wait); drop the late response
                                 // instead of parking it forever.
                                 return;
-                            }
-                            if let Some(sp) = spans2.borrow().as_ref() {
-                                // Response landed: wire time ends here.
-                                sp.mark(resp.req_id, Stage::ReplyWire, sim2.now());
                             }
                             // Profiler marker: the response-wire stage of
                             // the critical path ends here (detail only).
@@ -522,7 +508,6 @@ impl McClient {
                 }),
                 ring,
                 ops: Cell::new(0),
-                spans,
                 tracer,
                 inflight_gauge: world
                     .cluster
@@ -541,14 +526,6 @@ impl McClient {
                 bypass_buf: RefCell::new(None),
             }),
         }
-    }
-
-    /// Attaches (or clears) a latency-attribution sink: every subsequent
-    /// operation records its per-stage breakdown there. Pass the same
-    /// sink to [`McServer::attach_spans`](crate::McServer::attach_spans)
-    /// so the server-side stages land in the same spans.
-    pub fn attach_spans(&self, spans: Option<Rc<LatencySpans>>) {
-        *self.inner.spans.borrow_mut() = spans;
     }
 
     /// The node this client runs on.
@@ -1189,7 +1166,6 @@ impl CliInner {
         self.next_req.set(req_id + 1);
         let ctr = rt.counter();
         (req.req_id, req.ctr_id) = (req_id, ctr.id());
-        self.span(|sp| sp.begin(req_id, self.sim.now()));
         self.tracer.begin(
             Layer::Core,
             "client_op",
@@ -1203,11 +1179,9 @@ impl CliInner {
             .send_message_owned(MSG_MC_REQ, &req.encode(), data, SendOptions::default())
             .await;
         if sent.is_err() {
-            self.span(|sp| sp.discard(req_id));
             self.end_op(req_id, 0);
             return Err(McError::Disconnected);
         }
-        self.span(|sp| sp.mark(req_id, Stage::ClientSerialize, self.sim.now()));
         // Profiler marker: the request left the node — the issue stage of
         // the critical path ends here (detail only).
         self.tracer.instant_detail(
@@ -1233,7 +1207,7 @@ impl CliInner {
     async fn ucr_complete(&self, mut op: UcrInFlight) -> Result<(RespHeader, Vec<u8>), McError> {
         if op.ctr.wait_for(1, self.cfg.op_timeout).await.is_err() {
             // Server presumed dead: the corrective action of §IV-A. The
-            // op's `Drop` discards its spans and flags the request id so
+            // op's `Drop` closes its trace span and flags the request id so
             // a late-arriving response is dropped, not parked forever.
             return Err(McError::Timeout);
         }
@@ -1241,12 +1215,10 @@ impl CliInner {
         let resp = self.pending.borrow_mut().remove(&op.req_id);
         match resp {
             Some(resp) => {
-                self.span(|sp| sp.finish(op.req_id, self.sim.now()));
                 self.end_op(op.req_id, resp.1.len() as u64);
                 Ok(resp)
             }
             None => {
-                self.span(|sp| sp.discard(op.req_id));
                 self.end_op(op.req_id, 0);
                 Err(McError::Protocol)
             }
@@ -1561,13 +1533,6 @@ impl CliInner {
         }
     }
 
-    /// Runs `f` against the attached span sink, if any.
-    fn span(&self, f: impl FnOnce(&LatencySpans)) {
-        if let Some(sp) = self.spans.borrow().as_ref() {
-            f(sp);
-        }
-    }
-
     /// One ASCII request/response over a stream socket.
     async fn ascii_round_trip(
         &self,
@@ -1581,7 +1546,6 @@ impl CliInner {
             return Err(McError::Disconnected);
         }
         // The write has cleared the send path: serialization is done.
-        self.span(|sp| sp.mark(span_id, Stage::ClientSerialize, self.sim.now()));
         self.sock_sent_marker(span_id);
         let mut reader = FrameReader::default();
         let out = self.timed(reader.next(sock, parse_response)).await;
@@ -1589,16 +1553,15 @@ impl CliInner {
         out
     }
 
-    /// Opens a latency span for a socket round trip. The ASCII wire has no
-    /// request id, so the span id is purely client-local. In profiler
-    /// (detail) mode the round trip also gets a `client_op` trace span, so
-    /// sockets ops appear on the critical-path stream like UCR ops do —
+    /// Opens a socket round trip's span. The ASCII wire has no request
+    /// id, so the span id is purely client-local. In profiler (detail)
+    /// mode the round trip gets a `client_op` trace span, so sockets ops
+    /// appear on the critical-path stream like UCR ops do —
     /// server-side sockets events correlate via the profiler's
     /// single-open-op rule (the server's op-id domain is its own).
     fn begin_sock_span(&self) -> u64 {
         let span_id = self.next_req.get();
         self.next_req.set(span_id + 1);
-        self.span(|sp| sp.begin(span_id, self.sim.now()));
         self.tracer.begin_detail(
             Layer::Core,
             "client_op",
@@ -1630,10 +1593,6 @@ impl CliInner {
     /// client completion stage.
     fn close_sock_span(&self, span_id: u64, ok: bool) {
         if ok {
-            self.span(|sp| {
-                sp.mark(span_id, Stage::ReplyWire, self.sim.now());
-                sp.finish(span_id, self.sim.now());
-            });
             self.tracer.instant_detail(
                 Layer::Core,
                 "client_reply",
@@ -1643,8 +1602,6 @@ impl CliInner {
                 0,
                 self.sim.now(),
             );
-        } else {
-            self.span(|sp| sp.discard(span_id));
         }
         self.tracer.end_detail(
             Layer::Core,
@@ -1672,7 +1629,7 @@ impl CliInner {
     /// Pipelined ASCII round trips: writes up to `depth` commands ahead
     /// of the reads and parses the FIFO responses with one frame reader
     /// (one read may deliver the tail of response N glued to the head of
-    /// response N+1). Per-op latency spans are not recorded —
+    /// response N+1). Per-op `client_op` spans are not recorded —
     /// overlapping requests have no single wire residence to attribute.
     /// Every failure evicts the connection: the response stream is out of
     /// sync with the writes, so it cannot be reused.
@@ -1729,7 +1686,6 @@ impl CliInner {
             self.close_sock_span(span_id, false);
             return Err(McError::Disconnected);
         }
-        self.span(|sp| sp.mark(span_id, Stage::ClientSerialize, self.sim.now()));
         self.sock_sent_marker(span_id);
 
         let is_stat = op == McOp::Stats;

@@ -32,7 +32,7 @@ use mcproto::{
 use mcstore::{
     ClassId, SegmentedStore, ShardRouter, SlabAllocator, SlabEvent, Store, StoreConfig, Value,
 };
-use simnet::metrics::{Histogram, LatencySpans, Metrics, Stage};
+use simnet::metrics::{Histogram, Metrics};
 use simnet::sync::{self, Receiver, Sender};
 use simnet::trace::{Layer, Track};
 use simnet::vlock::{VLock, VLockMeters};
@@ -211,8 +211,6 @@ struct SrvInner {
     stats: SrvStats,
     ucr: RefCell<Option<UcrRuntime>>,
     roce: RefCell<Option<UcrRuntime>>,
-    /// Latency-attribution sink, when attached (adds no virtual time).
-    spans: RefCell<Option<Rc<LatencySpans>>>,
     /// Cross-layer event tracer (cluster-wide; adds no virtual time).
     tracer: Rc<Tracer>,
     /// Cluster metrics registry: per-worker queue-depth gauges and
@@ -271,7 +269,6 @@ impl AmHandler for ReqDispatch {
         let data = data.into_vec().unwrap_or_default();
         // Request landed and is decoded: the request-wire stage ends at
         // the dispatch hand-off.
-        srv.span(|sp| sp.mark(req.req_id, Stage::RequestWire, srv.sim.now()));
         srv.tracer.instant(
             Layer::Core,
             "dispatch",
@@ -582,7 +579,6 @@ impl McServer {
             stats: SrvStats::default(),
             ucr: RefCell::new(None),
             roce: RefCell::new(None),
-            spans: RefCell::new(None),
             tracer: world.cluster.tracer().clone(),
             metrics: world.cluster.metrics().clone(),
             op_hist: RefCell::new(HashMap::new()),
@@ -717,14 +713,6 @@ impl McServer {
         self.inner.observatory.clone()
     }
 
-    /// Attaches (or clears) a latency-attribution sink. Use the same sink
-    /// as the client's [`McClient::attach_spans`](crate::McClient::
-    /// attach_spans) so server-side stages (request-wire end, dispatch
-    /// wait, worker service) land in the same per-operation spans.
-    pub fn attach_spans(&self, spans: Option<Rc<LatencySpans>>) {
-        *self.inner.spans.borrow_mut() = spans;
-    }
-
     /// Stops accepting and serving. UCR endpoints fail over to their error
     /// path; socket clients see EOF on their next read.
     pub fn shutdown(&self) {
@@ -820,11 +808,9 @@ impl SrvInner {
         self.stats
             .sock_requests
             .set(self.stats.sock_requests.get() + 1);
-        // No request id on the stream wire: attribute by the one open span
-        // (single-client attribution runs).
-        self.span(|sp| sp.mark_open(Stage::RequestWire, self.sim.now()));
-        // Detail-mode dispatch mark: op 0 means "no wire id" — the
-        // profiler attributes it by the single open client op.
+        // Detail-mode dispatch mark: no request id on the stream wire, so
+        // op 0 means "no wire id" — the profiler attributes it by the
+        // single open client op (single-client attribution runs).
         self.tracer.instant_detail(
             Layer::Core,
             "dispatch",
@@ -851,13 +837,6 @@ impl SrvInner {
     /// Worker-thread service charge for one request.
     fn service_cost(&self, keys: usize) -> SimDuration {
         self.worker_fixed + self.hash_lookup * keys.max(1) as u64
-    }
-
-    /// Runs `f` against the attached span sink, if any.
-    fn span(&self, f: impl FnOnce(&LatencySpans)) {
-        if let Some(sp) = self.spans.borrow().as_ref() {
-            f(sp);
-        }
     }
 
     /// The service-time histogram for `op`, created on first use.
@@ -1176,12 +1155,6 @@ fn render_stats(srv: &SrvInner, store: &SegmentedStore) -> String {
     // UCR runtime counters (eager/rendezvous traffic, drops, faults).
     if let Some(rt) = srv.ucr.borrow().as_ref() {
         for (k, v) in rt.stats().report() {
-            put(&k, v);
-        }
-    }
-    // Per-stage latency attribution, when a span sink is attached.
-    if let Some(sp) = srv.spans.borrow().as_ref() {
-        for (k, v) in sp.report() {
             put(&k, v);
         }
     }

@@ -8,8 +8,8 @@
 //! * charges service time under the [`StoreModel`] lock plan;
 //! * runs the verb against the [`SegmentedStore`](mcstore::SegmentedStore)
 //!   (the one place each store mutator is called);
-//! * feeds the observatory, the per-op histogram, the bypass mirrors, the
-//!   latency spans and the `worker_service` trace bracket.
+//! * feeds the observatory, the per-op histogram, the bypass mirrors and
+//!   the `worker_service` trace bracket.
 //!
 //! It answers with a [`Reply`]: a [`RespHeader`] plus the value or text
 //! and the multi-get hits. Each wire's encoder turns that into its own
@@ -20,10 +20,9 @@ use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use mcstore::{NumericError, SegmentedStore, SetOutcome, Value};
-use simnet::metrics::Stage;
 use simnet::trace::{Layer, Track};
 use simnet::vlock::VLockGuard;
-use simnet::{SimTime, Tracer};
+use simnet::Tracer;
 
 use super::{
     prom_stat_lines, render_stats, trace_stat_lines, SrvInner, StoreModel, SERVER_VERSION,
@@ -102,11 +101,11 @@ fn found(hit: bool) -> RespStatus {
 impl SrvInner {
     /// Executes one decoded request on worker `widx`.
     ///
-    /// `wire_id` says whether the wire carried `req.req_id` (UCR): spans
-    /// are then keyed by it and the service bracket is always traced.
-    /// Id-less wires (socket streams, UDP) pass a server-local op id; their
-    /// spans go to the single open client span and their bracket is traced
-    /// in detail mode only.
+    /// `wire_id` says whether the wire carried `req.req_id` (UCR): the
+    /// service bracket is then keyed by it and always traced. Id-less
+    /// wires (socket streams, UDP) pass a server-local op id; their bracket
+    /// is traced in detail mode only, and the profiler correlates it to the
+    /// single open client op.
     ///
     /// Returns the reply and the store locks still held. The wire edge
     /// drops them once the reply is encoded, before its first await.
@@ -118,7 +117,6 @@ impl SrvInner {
         wire_id: bool,
     ) -> (Reply, Vec<VLockGuard>) {
         let start = self.sim.now();
-        self.mark(req.req_id, wire_id, Stage::DispatchWait, start);
         self.service_event(false, wire_id, widx, req.req_id, data.len());
         let mut reply = Reply::new(req.req_id, RespStatus::Ok);
         let nkeys = req.keys.len();
@@ -163,7 +161,6 @@ impl SrvInner {
             }
         };
         let end = self.sim.now();
-        self.mark(req.req_id, wire_id, Stage::WorkerService, end);
         let service = end.saturating_since(start);
         self.op_histogram(req.op).record(service);
         let bytes = reply.payload_len(&req.keys);
@@ -346,18 +343,6 @@ impl SrvInner {
         }
         self.sim.sleep(self.hash_lookup * keys.max(1) as u64).await;
         guards
-    }
-
-    /// Marks a latency-span stage boundary for the request (see
-    /// [`Self::execute`] for how `wire_id` keys it).
-    fn mark(&self, id: u64, wire_id: bool, stage: Stage, at: SimTime) {
-        self.span(|sp| {
-            if wire_id {
-                sp.mark(id, stage, at)
-            } else {
-                sp.mark_open(stage, at)
-            }
-        });
     }
 
     /// Opens (`end == false`) or closes the `worker_service` trace bracket.

@@ -6,7 +6,8 @@
 use rmc::{
     Distribution, McClient, McClientConfig, McError, McServer, McServerConfig, Transport, World,
 };
-use simnet::{NodeId, SimDuration, Stack};
+use simnet::{Event, EventRecorder, Layer, NodeId, SimDuration, Stack};
+use std::rc::Rc;
 
 const SRV: NodeId = NodeId(0);
 const CLI: NodeId = NodeId(1);
@@ -896,8 +897,45 @@ fn stats_subreports_expose_slabs_and_items() {
 }
 
 // ---------------------------------------------------------------------
-// Protocol efficiency: fabric message counts (network tracing)
+// Protocol efficiency: fabric message counts (wire trace events)
 // ---------------------------------------------------------------------
+
+/// One fabric message seen on the tracer: sender, receiver, bytes.
+#[derive(Debug)]
+struct WireMsg {
+    src: NodeId,
+    dst: NodeId,
+    bytes: u64,
+}
+
+/// Starts recording the cluster tracer's event stream.
+fn record_wire(world: &World) -> Rc<EventRecorder> {
+    let rec = EventRecorder::new();
+    world.cluster.tracer().add_sink(rec.clone());
+    rec
+}
+
+/// Drains `rec` into fabric messages. Every transfer emits `wire_tx` on
+/// its sender, then `wire_rx` on its receiver, adjacent in the stream.
+fn wire_messages(rec: &EventRecorder) -> Vec<WireMsg> {
+    let wire: Vec<Event> = rec
+        .take()
+        .into_iter()
+        .filter(|e| e.layer == Layer::Wire)
+        .collect();
+    assert_eq!(wire.len() % 2, 0, "unpaired wire events: {wire:#?}");
+    wire.chunks(2)
+        .map(|p| {
+            assert_eq!((p[0].name, p[1].name), ("wire_tx", "wire_rx"));
+            assert_eq!(p[0].bytes, p[1].bytes);
+            WireMsg {
+                src: p[0].node.expect("sender"),
+                dst: p[1].node.expect("receiver"),
+                bytes: p[1].bytes,
+            }
+        })
+        .collect()
+}
 
 #[test]
 fn ucr_get_costs_exactly_two_fabric_messages() {
@@ -906,13 +944,13 @@ fn ucr_get_costs_exactly_two_fabric_messages() {
     let world = world_b();
     let _server = McServer::start(&world, SRV, McServerConfig::default());
     let c = client(&world, Transport::Ucr);
-    let ib = world.cluster.ib().clone();
+    let rec = record_wire(&world);
     world.sim().block_on(async move {
         c.set(b"k", &vec![1u8; 512], 0, 0).await.unwrap();
         c.get(b"k").await.unwrap().unwrap(); // warm
-        ib.set_trace(true);
+        rec.take();
         c.get(b"k").await.unwrap().unwrap();
-        let trace = ib.take_trace();
+        let trace = wire_messages(&rec);
         assert_eq!(
             trace.len(),
             2,
@@ -933,12 +971,12 @@ fn ucr_large_set_uses_rendezvous_message_pattern() {
     let world = world_b();
     let _server = McServer::start(&world, SRV, McServerConfig::default());
     let c = client(&world, Transport::Ucr);
-    let ib = world.cluster.ib().clone();
+    let rec = record_wire(&world);
     world.sim().block_on(async move {
         c.set(b"warm", b"x", 0, 0).await.unwrap();
-        ib.set_trace(true);
+        rec.take();
         c.set(b"big", &vec![7u8; 64 * 1024], 0, 0).await.unwrap();
-        let trace = ib.take_trace();
+        let trace = wire_messages(&rec);
         assert_eq!(trace.len(), 5, "rendezvous set message pattern: {trace:#?}");
         // Exactly one transfer carries the bulk data, flowing toward the
         // server (the RDMA read response).
@@ -956,19 +994,16 @@ fn wire_overhead_is_fixed_for_ucr_and_grows_for_sockets() {
     // grows with the value — one face of the semantic mismatch (SIII).
     fn overhead(world: &World, transport: Transport, size: u64) -> i64 {
         let c = client(world, transport);
-        let net = match transport.stack().net() {
-            simnet::NetKind::Ib => world.cluster.ib().clone(),
-            k => world.cluster.network(k).unwrap().clone(),
-        };
-        world.sim().block_on(async move {
+        let rec = record_wire(world);
+        let total = world.sim().block_on(async move {
             c.set(b"k", &vec![1u8; size as usize], 0, 0).await.unwrap();
             c.get(b"k").await.unwrap().unwrap();
-            net.set_trace(true);
+            rec.take();
             c.get(b"k").await.unwrap().unwrap();
-            let total: u64 = net.take_trace().iter().map(|t| t.bytes).sum();
-            net.set_trace(false);
-            total as i64 - size as i64
-        })
+            wire_messages(&rec).iter().map(|m| m.bytes).sum::<u64>()
+        });
+        world.cluster.tracer().clear_sinks();
+        total as i64 - size as i64
     }
     let world = world_a();
     let _server = McServer::start(&world, SRV, McServerConfig::default());

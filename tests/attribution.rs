@@ -1,11 +1,12 @@
 //! Cross-layer latency-attribution invariants.
 //!
-//! The metrics layer decomposes every operation into pipeline stages
-//! (client serialize → request wire → dispatch wait → worker service →
-//! reply wire → client complete). Because the stages are deltas between
-//! consecutive boundary timestamps on one virtual clock, their sum must
-//! equal the end-to-end latency — any calibration change that breaks a
-//! stage boundary (a sleep moved across a mark, a double-counted cost)
+//! The profiler decomposes every operation's critical path into
+//! [`PathStage`]s (issue → request wire → worker queue → lock wait →
+//! lock hold → service → response wire → complete) from the cluster
+//! tracer's event stream. Because the stages are deltas between boundary
+//! timestamps on one virtual clock, their sum must equal the end-to-end
+//! latency to the nanosecond — any calibration change that breaks a
+//! stage boundary (a sleep moved across a marker, a double-counted cost)
 //! shows up here directly, where the shape tests in `experiments.rs`
 //! would only drift indirectly.
 
@@ -13,24 +14,24 @@ use rmc::Transport;
 use rmc_bench::{
     measure_bottlenecks, measure_latency, measure_latency_attributed, ClusterKind, Mix,
 };
-use simnet::metrics::Stage;
-use simnet::Stack;
+use simnet::{PathStage, Stack};
 
 const ITERS: u32 = 60;
 const SIZE: usize = 4096;
 const SEED: u64 = 7;
 
 /// Runs the attributed measurement next to the plain one and checks:
-/// attaching spans perturbs nothing, every op is attributed, and the
-/// per-stage breakdown sums to the end-to-end mean within 1%.
+/// profiling perturbs nothing, every op is attributed, and the per-stage
+/// breakdown sums exactly to the end-to-end total with zero residual.
 fn check_attribution_invariant(cluster: ClusterKind, transport: Transport) {
     let attr = measure_latency_attributed(cluster, transport, Mix::GetOnly, SIZE, ITERS, SEED);
     let plain = measure_latency(cluster, transport, Mix::GetOnly, SIZE, ITERS, SEED);
 
-    // Spans add no virtual time: the measured mean is bit-identical to a
-    // run without instrumentation.
-    assert!(
-        (attr.mean_us - plain).abs() < 1e-9,
+    // Profiling adds no virtual time: the measured mean is bit-identical
+    // to a run without instrumentation.
+    assert_eq!(
+        attr.mean_us.to_bits(),
+        plain.to_bits(),
         "{cluster:?}/{transport:?}: instrumented mean {} != plain mean {}",
         attr.mean_us,
         plain
@@ -40,23 +41,34 @@ fn check_attribution_invariant(cluster: ClusterKind, transport: Transport) {
         "{cluster:?}/{transport:?}: every timed op must be attributed"
     );
 
-    // The invariant: per-stage breakdown sums to end-to-end within 1%.
-    let sum = attr.attributed_mean_us;
-    let rel = (sum - attr.mean_us).abs() / attr.mean_us;
-    assert!(
-        rel <= 0.01,
-        "{cluster:?}/{transport:?}: stage sum {sum:.3}us vs end-to-end {:.3}us ({:.3}% off)",
+    // The invariant: every op decomposes exactly, nothing is left in the
+    // residual, and the stage totals sum to the end-to-end total in
+    // integer nanoseconds.
+    assert_eq!(attr.inexact_ops, 0, "{cluster:?}/{transport:?}: {attr:?}");
+    assert_eq!(attr.residual_us, 0.0, "{cluster:?}/{transport:?}: {attr:?}");
+    assert_eq!(
+        attr.stage_total_ns.iter().sum::<u64>(),
+        attr.e2e_total_ns,
+        "{cluster:?}/{transport:?}: stage totals must sum to end-to-end: {attr:?}"
+    );
+    // The profiler's end-to-end total is the measured elapsed time
+    // (same arithmetic as `measure_latency`: microseconds, then per op).
+    assert_eq!(
+        attr.e2e_total_ns as f64 / 1_000.0 / ITERS as f64,
         attr.mean_us,
-        rel * 100.0
+        "{cluster:?}/{transport:?}: {attr:?}"
     );
 
     // The pipeline stages every transport must traverse are non-trivial.
-    for stage in [Stage::RequestWire, Stage::WorkerService, Stage::ReplyWire] {
+    for stage in [
+        PathStage::RequestWire,
+        PathStage::Service,
+        PathStage::ResponseWire,
+    ] {
         assert!(
             attr.stage_us(stage) > 0.0,
-            "{cluster:?}/{transport:?}: stage {} must take time, got breakdown {:?}",
+            "{cluster:?}/{transport:?}: stage {} must take time, got breakdown {attr:?}",
             stage.label(),
-            attr.stage_means_us
         );
     }
 }
@@ -115,8 +127,8 @@ fn bottleneck_attribution_flows_through_metrics() {
 }
 
 /// The §VI-D worked example from the README: the wire stages of a 4 KB
-/// get shrink dramatically from 10GigE-TOE to UCR, while the worker
-/// service stage (store execution) is transport-invariant.
+/// get shrink dramatically from 10GigE-TOE to UCR, while the service
+/// stage (store execution) is transport-invariant.
 #[test]
 fn ucr_beats_toe_in_the_wire_stages_not_the_store() {
     let ucr = measure_latency_attributed(
@@ -136,9 +148,9 @@ fn ucr_beats_toe_in_the_wire_stages_not_the_store() {
         SEED,
     );
     let wire = |a: &rmc_bench::AttributedLatency| {
-        a.stage_us(Stage::ClientSerialize)
-            + a.stage_us(Stage::RequestWire)
-            + a.stage_us(Stage::ReplyWire)
+        a.stage_us(PathStage::Issue)
+            + a.stage_us(PathStage::RequestWire)
+            + a.stage_us(PathStage::ResponseWire)
     };
     assert!(
         wire(&toe) > 2.0 * wire(&ucr),
@@ -146,12 +158,12 @@ fn ucr_beats_toe_in_the_wire_stages_not_the_store() {
         wire(&toe),
         wire(&ucr)
     );
-    let svc_rel = (toe.stage_us(Stage::WorkerService) - ucr.stage_us(Stage::WorkerService)).abs()
-        / ucr.stage_us(Stage::WorkerService);
+    let svc_rel = (toe.stage_us(PathStage::Service) - ucr.stage_us(PathStage::Service)).abs()
+        / ucr.stage_us(PathStage::Service);
     assert!(
         svc_rel < 0.05,
-        "worker service is transport-invariant: UCR {:.3}us vs TOE {:.3}us",
-        ucr.stage_us(Stage::WorkerService),
-        toe.stage_us(Stage::WorkerService)
+        "service is transport-invariant: UCR {:.3}us vs TOE {:.3}us",
+        ucr.stage_us(PathStage::Service),
+        toe.stage_us(PathStage::Service)
     );
 }
